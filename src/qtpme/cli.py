@@ -57,9 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsageError(message)
 
 
-def _fmt(x: float) -> str:
-    # + 0.0 folds IEEE negative zero into plain zero
-    return format(float(x) + 0.0, ".17g")
+#: rows per formatted CSV block; bounds the memory of a streamed table
+_CSV_BLOCK_ROWS = 4096
+#: CSV float format, 17 significant digits (round-trips every double)
+_CSV_FLOAT = "%.17g"
 
 
 def _load_rates(path: str) -> RateMatrix:
@@ -73,12 +74,61 @@ def _load_rates(path: str) -> RateMatrix:
     return rate_matrix_from_json(doc)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(text: str, out) -> None:
+    """Write ``text`` to stdout (``out`` None), to a new file at path
+    ``out``, or to the open text stream ``out``."""
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    elif isinstance(out, str):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    else:
+        out.write(text)
+
+
+def _csv_floats(values: np.ndarray) -> list[str]:
+    """CSV text of each float; + 0.0 folds IEEE negative zero into zero."""
+    return [_CSV_FLOAT % x for x in (values + 0.0).tolist()]
+
+
+def _csv_blocks(columns, lead: str = ""):
+    """Yield the CSV rows of equal-length 1-D columns, a block at a time.
+
+    Float arrays print with 17 significant digits and negative zero folded
+    into zero; any other column (string arrays, lists of preformatted text)
+    prints as ``str``.  Every row starts with the fixed text ``lead``.  Each
+    block of ``_CSV_BLOCK_ROWS`` rows is formatted by one ``%`` over a flat
+    list of values, so no per-row Python code runs.
+    """
+    is_float = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    template = lead.replace("%", "%%") + ",".join(
+        _CSV_FLOAT if flag else "%s" for flag in is_float) + "\n"
+    width = len(columns)
+    rows = len(columns[0])
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        values = [None] * (width * (stop - start))
+        for index, (col, flag) in enumerate(zip(columns, is_float)):
+            part = col[start:stop]
+            if flag:
+                part = part + 0.0
+            values[index::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        yield (template * (stop - start)) % tuple(values)
+
+
+def _write_csv(header, blocks, out_path: str | None) -> None:
+    """Stream a CSV table to stdout or ``out_path``: the header line, then
+    each text block as it is produced.  Every write goes through ``_emit``,
+    the one output function, so a trace of ``_emit`` times the writes apart
+    from the formatting."""
+    fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8", newline="")
+    try:
+        _emit(",".join(header) + "\n", fh)
+        for block in blocks:
+            _emit(block, fh)
+    finally:
+        if out_path is not None:
+            fh.close()
 
 
 def _json_doc(obj) -> str:
@@ -160,10 +210,7 @@ def _cmd_simulate(args) -> int:
         header.append("S_BS")
         columns.append(series.s_bs_vals)
 
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_csv(header, _csv_blocks(columns), args.out)
     return _EXIT_OK
 
 
@@ -227,13 +274,15 @@ def _cmd_sweep(args) -> int:
         w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2), jobs=jobs
     )
 
-    lines = [f"{region.axis1},{region.axis2},class,D"]
-    for i, x1 in enumerate(region.grid1):
-        for j, x2 in enumerate(region.grid2):
-            lines.append(
-                f"{_fmt(x1)},{_fmt(x2)},{region.classes[i, j]},{_fmt(region.discriminants[i, j])}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    def blocks():
+        # Each grid value is formatted once: axis1 as the fixed start of its
+        # grid row, axis2 as preformatted text reused by every grid row.
+        text2 = _csv_floats(region.grid2)
+        rows = zip(_csv_floats(region.grid1), region.classes, region.discriminants)
+        for text1, classes, discs in rows:
+            yield from _csv_blocks([text2, classes, discs], lead=text1 + ",")
+
+    _write_csv([region.axis1, region.axis2, "class", "D"], blocks(), args.out)
     return _EXIT_OK
 
 
@@ -250,10 +299,8 @@ def _cmd_yd_curve(args) -> int:
         else:
             k_max = 10.0
     curve = yd.yd_curve(params, args.k_min, k_max, args.steps)
-    lines = ["k,rho1,rho2,rho3"]
-    for k, r1, r2, r3 in zip(curve.k_grid, curve.rho1, curve.rho2, curve.rho3):
-        lines.append(f"{_fmt(k)},{_fmt(r1)},{_fmt(r2)},{_fmt(r3)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = [curve.k_grid, curve.rho1, curve.rho2, curve.rho3]
+    _write_csv(["k", "rho1", "rho2", "rho3"], _csv_blocks(columns), args.out)
     return _EXIT_OK
 
 
@@ -384,6 +431,12 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             args = parser.parse_args(argv)
             return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout left early (``qtpme sweep ... | head``): not a
+        # failure of the command.  Point stdout at the null device so that
+        # the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_OK
     except ValidationError as exc:
         return _report_error(exc, _EXIT_VALIDATION)
     except SolverError as exc:

@@ -75,6 +75,28 @@ class DefectiveGenerator(SolverError):
         )
 
 
+class UnstableStep(SolverError):
+    """RK4 step outside the method's stability region: the iteration would
+    amplify some eigenmode of the generator instead of damping it."""
+
+    def __init__(self, steps, steps_needed, amplification):
+        self.steps = steps
+        self.steps_needed = steps_needed
+        self.amplification = amplification
+        super().__init__(
+            f"RK4 with {steps} steps is unstable (amplification factor "
+            f"{amplification:.3e} > 1); use at least {steps_needed} steps"
+        )
+
+
+class ProbabilityDrift(SolverError):
+    """The integrated state lost probability beyond the conservation budget."""
+
+    def __init__(self, drift, limit):
+        self.drift = drift
+        super().__init__(f"probability sum drifted by {drift:.3e} (> {limit:g})")
+
+
 class SolveFailed(SolverError):
     def __init__(self, message, condition=None):
         self.condition = condition

@@ -8,10 +8,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Generator, ProbabilityVector, QTDecomposition, _frozen_array
-from .errors import BadShape, DefectiveGenerator, ValidationError
+from .errors import (
+    BadShape,
+    DefectiveGenerator,
+    ProbabilityDrift,
+    UnstableStep,
+    ValidationError,
+)
 
 #: condition-number threshold above which the spectral propagator is refused
 EXACT_CONDITION_LIMIT = 1e12
+#: largest tolerated deviation of the row sums from 1
+SUM_DRIFT_LIMIT = 1e-9
+#: rounding allowance on the RK4 amplification factor; the generator's zero
+#: eigenvalue is computed only to about machine precision times its norm
+RK4_STABILITY_SLACK = 1e-12
 
 
 class Method(enum.Enum):
@@ -24,7 +35,7 @@ class Trajectory:
     """Sampled solution p(t): row ``states[k]`` is the state at ``times[k]``.
 
     The row sums carry whatever drift the integrator produced; they are
-    checked against the 1e-9 budget but never rescaled, so a broken
+    checked against ``SUM_DRIFT_LIMIT`` but never rescaled, so a broken
     generator shows up here instead of being hidden.
     """
 
@@ -40,8 +51,8 @@ class Trajectory:
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("times must be strictly increasing")
         drift = np.abs(states.sum(axis=1) - 1.0).max()
-        if drift > 1e-9:
-            raise ValidationError(f"probability sum drifted by {drift:.3e} (> 1e-9)")
+        if not drift <= SUM_DRIFT_LIMIT:
+            raise ProbabilityDrift(drift, SUM_DRIFT_LIMIT)
         object.__setattr__(self, "times", _frozen_array(times))
         object.__setattr__(self, "states", _frozen_array(states))
 
@@ -88,6 +99,12 @@ def integrate(
     DefectiveGenerator
         In exact mode when the eigenvector matrix has condition number
         above ``EXACT_CONDITION_LIMIT``; fall back to RK4.
+    UnstableStep
+        In RK4 mode when the step lies outside the stability region for
+        some generator eigenvalue; the error names the smallest stable
+        step count.
+    ProbabilityDrift
+        When the row sums drift from 1 by more than ``SUM_DRIFT_LIMIT``.
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
@@ -108,6 +125,7 @@ def integrate(
         states = ((modes * coeffs) @ eigvecs.T).real
         states[0] = p_start  # the propagator at t = 0 is the identity
     elif method is Method.RK4:
+        _check_rk4_stability(np.linalg.eigvals(g.m), t_end, steps)
         h = t_end / steps
         m = g.m
         states = np.empty((steps + 1, g.n))
@@ -124,6 +142,36 @@ def integrate(
         raise ValidationError(f"unknown method {method!r}")
 
     return Trajectory(times=times, states=states, method=method)
+
+
+def _check_rk4_stability(eigvals: np.ndarray, t_end: float, steps: int) -> None:
+    """Raise :class:`UnstableStep` unless every ``z = h * lambda``, with
+    ``h = t_end / steps``, lies in the RK4 stability region
+    ``|1 + z + z^2/2 + z^3/6 + z^4/24| <= 1``.
+
+    Along every ray into the left half-plane the region is an interval
+    from the origin, so stability is monotone in the step count and the
+    smallest stable count is found by bisection.  Every such interval
+    reaches past |z| = 2.6, which gives a stable upper bracket.
+    """
+    def amplification(count):
+        z = (t_end / count) * eigvals
+        return float(np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))).max())
+
+    worst = amplification(steps)
+    if worst <= 1.0 + RK4_STABILITY_SLACK:
+        return
+    lo = steps
+    hi = max(steps + 1, int(np.ceil(t_end * float(np.abs(eigvals).max()) / 2.6)))
+    while amplification(hi) > 1.0 + RK4_STABILITY_SLACK:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if amplification(mid) > 1.0 + RK4_STABILITY_SLACK:
+            lo = mid
+        else:
+            hi = mid
+    raise UnstableStep(steps, hi, worst)
 
 
 def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSeries:

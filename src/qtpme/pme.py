@@ -126,11 +126,7 @@ def classify_structure(w: RateMatrix) -> StructureReport:
     col_sums = arr.sum(axis=0)
     doubly_stochastic = bool(np.abs(row_sums - col_sums).max() <= STRUCTURE_RTOL * scale)
 
-    g = generator_from_rates(w)
-    null_dim = kernel_dimension(g)
-    if null_dim != 1:
-        raise NonUniqueStationary(null_dim)
-    p = stationary_distribution(g)
+    p = stationary_distribution(generator_from_rates(w))
     flux = arr * p.entries[np.newaxis, :]  # flux[m, n] = w[m, n] * p[n]
     flux_scale = max(1.0, float(np.abs(flux).max()))
     detailed_balance = bool(np.abs(flux - flux.T).max() <= STRUCTURE_RTOL * flux_scale)
@@ -140,7 +136,7 @@ def classify_structure(w: RateMatrix) -> StructureReport:
         doubly_stochastic=doubly_stochastic,
         detailed_balance=detailed_balance,
         stationary=p,
-        null_dim=null_dim,
+        null_dim=1,  # stationary_distribution has checked the kernel
     )
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from qtpme import cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -45,13 +50,84 @@ def test_sweep_output_independent_of_jobs():
 
 
 def test_out_flag_writes_identical_bytes(tmp_path):
-    out = tmp_path / "classify.json"
-    args = CASES["classify.json"]
-    streamed = run_cli(*args)
-    to_file = run_cli(*args, "--out", str(out))
-    assert to_file.returncode == 0
-    assert to_file.stdout == ""
-    assert out.read_text(encoding="utf-8") == streamed.stdout
+    # one JSON command and every CSV command: stdout and --out are two sinks
+    for name in ("classify.json", "sweep.csv", "yd_curve.csv", "simulate_rk4.csv"):
+        out = tmp_path / name
+        args = CASES[name]
+        streamed = run_cli(*args)
+        to_file = run_cli(*args, "--out", str(out))
+        assert to_file.returncode == 0, to_file.stderr
+        assert to_file.stdout == ""
+        assert out.read_bytes() == streamed.stdout.encode("utf-8")
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-2**60, 2**60).map(float),
+)
+_BLOCK = cli._CSV_BLOCK_ROWS
+
+
+def _reference_csv(header, columns, lead=""):
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(lead + ",".join(
+            format(x + 0.0, ".17g") if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _written_csv(header, columns, lead=""):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._write_csv(header, cli._csv_blocks(columns, lead=lead), None)
+    return buffer.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    pool=st.lists(_CSV_FLOATS, min_size=1, max_size=40),
+    labels=st.lists(st.sampled_from(["M", "O", "B", "k%s", ""]), min_size=1, max_size=5),
+    lead=st.sampled_from(["", "0.5,", "1e+300,"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_writer_matches_line_by_line_reference(rows, pool, labels, lead, seed):
+    rng = np.random.default_rng(seed)
+    floats = np.array(pool)
+    columns = [
+        floats[rng.integers(0, floats.size, rows)],
+        np.array(labels)[rng.integers(0, len(labels), rows)],
+        floats[rng.integers(0, floats.size, rows)][::-1],
+    ]
+    header = ["x", "label", "y"]
+    expected = _reference_csv(header, [col.tolist() for col in columns], lead)
+    # compared as lists of lines, so a failure names the first differing row
+    written = _written_csv(header, columns, lead)
+    assert written.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_csv_writer_streams_blocks_to_a_file(tmp_path):
+    column = np.linspace(-1.0, 1.0, 2 * _BLOCK + 1)
+    out = tmp_path / "table.csv"
+    cli._write_csv(["x", "y"], cli._csv_blocks([column, -column]), str(out))
+    assert out.read_bytes() == _reference_csv(
+        ["x", "y"], [column.tolist(), (-column).tolist()]).encode("utf-8")
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # a streamed table far larger than a pipe buffer, cut off after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtpme", "yd", "curve", "--a1", "1", "--f1", "1",
+         "--d", "1", "--e", "1", "--steps", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"k,rho1,rho2,rho3\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
 
 
 def test_validate_round_trips_through_schema(tmp_path):
@@ -120,6 +196,24 @@ def test_simulate_defective_generator_is_solver_failure(tmp_path):
     proc = run_cli("simulate", "--rates", str(path), "--p0", "1,0,0",
                    "--t-end", "1", "--steps", "10", "--method", "rk4")
     assert proc.returncode == 0
+
+
+def test_simulate_unstable_rk4_step_is_solver_failure(tmp_path):
+    path = tmp_path / "stiff.json"
+    path.write_text('{"rates": [[0, 30, 50], [10, 0, 60], [20, 40, 0]]}', encoding="utf-8")
+    base = ["simulate", "--rates", str(path), "--p0", "1,0,0", "--t-end", "1",
+            "--method", "rk4"]
+    proc = run_cli(*base, "--steps", "50")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error_doc = json.loads(proc.stderr.splitlines()[-1])
+    assert error_doc["error"] == "UnstableStep"
+    assert "at least 53 steps" in error_doc["message"]
+    proc = run_cli(*base, "--steps", "53")
+    assert proc.returncode == 0, proc.stderr
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in proc.stdout.splitlines()[1:]])
+    assert rows[:, 1:].min() >= 0.0
 
 
 def test_structure_reducible_chain_is_solver_failure(tmp_path):

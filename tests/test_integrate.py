@@ -15,7 +15,14 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
-from qtpme.errors import DefectiveGenerator, ValidationError
+from qtpme.errors import (
+    DefectiveGenerator,
+    ProbabilityDrift,
+    SolverError,
+    UnstableStep,
+    ValidationError,
+)
+from qtpme.integrate import Trajectory
 
 from conftest import random_probability, random_rate_matrix
 
@@ -76,6 +83,47 @@ def test_defective_generator_falls_back_to_rk4():
     t = traj.times
     assert np.abs(traj.states[:, 0] - np.exp(-t)).max() <= 1e-9
     assert np.abs(traj.states[:, 1] - t * np.exp(-t)).max() <= 1e-9
+
+
+def test_rk4_outside_stability_region_is_a_solver_error(monkeypatch):
+    # eigenvalues 0, -64.7, -145.3: h = 1/50 puts h*lambda = -2.9 outside the
+    # real stability interval [-2.785, 0]
+    g = generator_from_rates(validate_rates([[0, 30, 50], [10, 0, 60], [20, 40, 0]]))
+    p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(UnstableStep) as exc:
+        integrate(g, p0, t_end=1.0, steps=50, method=Method.RK4)
+    assert isinstance(exc.value, SolverError)
+    needed = exc.value.steps_needed
+    assert exc.value.steps == 50
+    assert exc.value.amplification > 1.0
+    assert f"at least {needed} steps" in str(exc.value)
+    # the named count is the smallest stable one
+    with pytest.raises(UnstableStep):
+        integrate(g, p0, t_end=1.0, steps=needed - 1, method=Method.RK4)
+    traj = integrate(g, p0, t_end=1.0, steps=needed, method=Method.RK4)
+    assert traj.states.min() >= 0.0
+
+    # the eigenvalues are computed once per call, not once per step
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(m):
+        calls.append(1)
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    integrate(g, p0, t_end=1.0, steps=1000, method=Method.RK4)
+    assert len(calls) == 1
+
+
+def test_sum_drift_is_a_solver_error():
+    times = np.linspace(0.0, 1.0, 3)
+    for bad in (1.0 + 3e-5, np.nan):
+        states = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, bad - 0.5]])
+        with pytest.raises(ProbabilityDrift) as exc:
+            Trajectory(times=times, states=states, method=Method.RK4)
+        assert isinstance(exc.value, SolverError)
+        assert not isinstance(exc.value, ValidationError)
 
 
 def test_integrate_validates_arguments(rng):
@@ -169,8 +217,6 @@ def test_extrema_count_ignores_subtolerance_ripple():
     times = np.linspace(0.0, 1.0, 101)
     ripple = 1e-13 * np.cos(40.0 * times)
     states = np.column_stack([0.6 + ripple, 0.4 - ripple])
-    from qtpme.integrate import Trajectory
-
     traj = Trajectory(times=times, states=states, method=Method.EXACT)
     assert extrema_count(traj, 0) == 0
     assert extrema_count(traj, 0, tol=0.0) > 0

@@ -163,6 +163,27 @@ def test_classify_two_state_detailed_balance():
     assert not report.symmetric
 
 
+def test_classify_structure_checks_the_kernel_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = classify_structure(validate_rates([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
+    assert report.null_dim == 1
+    assert len(calls) == 1
+
+    # two disconnected 2-state blocks: the single check still reports it
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+    with pytest.raises(NonUniqueStationary) as exc:
+        classify_structure(validate_rates(w))
+    assert exc.value.null_dim == 2
+
+
 def test_symmetric_implies_doubly_stochastic(rng):
     for _ in range(100):
         base = rng.uniform(0.0, 1.0, (4, 4))
