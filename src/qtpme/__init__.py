@@ -26,6 +26,7 @@ from .integrate import Method, MonitorSeries, Trajectory, extrema_count, integra
 from .monotonicity import RegionMap, discriminant, ellipse_value, sweep, uvw
 from .pme import StructureReport, classify_structure, spectrum, stationary_distribution
 from .qt import (
+    decompose,
     decompose_2state,
     decompose_3state,
     decompose_nstate,
@@ -64,6 +65,7 @@ __all__ = [
     "ConsistencyReport",
     "centering_projector",
     "classify_structure",
+    "decompose",
     "decompose_2state",
     "decompose_3state",
     "decompose_nstate",

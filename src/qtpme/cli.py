@@ -164,20 +164,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     w = _load_rates(args.rates)
-    method = args.method
-    if method is None:
-        method = "closed" if w.n <= 3 else "numeric"
-    if method == "closed":
-        if w.n == 2:
-            decomposition = qt.decompose_2state(w)
-        elif w.n == 3:
-            decomposition = qt.decompose_3state(w)
-        else:
-            raise ValidationError(
-                f"--method closed supports N <= 3 only (got N={w.n}); use --method numeric"
-            )
-    else:
+    if args.method == "closed" and w.n > 3:
+        raise ValidationError(
+            f"--method closed supports N <= 3 only (got N={w.n}); use --method numeric"
+        )
+    if args.method == "numeric":
         decomposition = qt.decompose_nstate(w)
+    else:
+        decomposition = qt.decompose(w)
     _emit(_json_doc(qt.decomposition_to_json(decomposition)), args.out)
     return _EXIT_OK
 
@@ -193,12 +187,7 @@ def _cmd_simulate(args) -> int:
     if args.monitor:
         decomposition = None
         try:
-            if traj.n == 2:
-                decomposition = qt.decompose_2state(w)
-            elif traj.n == 3:
-                decomposition = qt.decompose_3state(w)
-            else:
-                decomposition = qt.decompose_nstate(w)
+            decomposition = qt.decompose(w)
         except NoConvergence as exc:
             sys.stderr.write(f"warning: no decomposition for S column ({exc})\n")
         series = monitor(traj, decomposition)

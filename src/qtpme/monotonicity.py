@@ -114,10 +114,11 @@ def ellipse_value(coords: UVWCoordinates) -> float:
 
 
 def _sweep_block(coeffs, axis1, axis2, grid1_block, grid2):
-    values = {name: np.full((grid1_block.size, grid2.size), val)
-              for name, val in zip(COEFF_NAMES, coeffs)}
-    values[axis1] = np.broadcast_to(grid1_block[:, None], (grid1_block.size, grid2.size))
-    values[axis2] = np.broadcast_to(grid2[None, :], (grid1_block.size, grid2.size))
+    # The fixed coefficients stay scalars and the axes broadcast, so only
+    # the formula's intermediates take the full grid shape.
+    values = dict(zip(COEFF_NAMES, coeffs))
+    values[axis1] = grid1_block[:, None]
+    values[axis2] = grid2[None, :]
     disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
     return disc, classify_discriminant(disc, xi)
 

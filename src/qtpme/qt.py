@@ -7,10 +7,15 @@ gauge, and K is antisymmetric with vanishing row and column sums.  Along
 and S(p) = p' sigma p / 2 is nondecreasing, since the antisymmetric part
 contributes nothing to dS/dt = n * |P sigma p|^2.
 
-For N=2 and N=3 the decomposition is available in closed form; for general
-N it is found by alternating linear solves on the bilinear matching system
-followed by a damped Gauss-Newton polish, and every accepted answer is
-certified by its reconstruction residual.
+For N=2 and N=3 the decomposition is available in closed form.  For
+general N the matching system becomes, on the zero-sum subspace, the linear
+Lyapunov equation ``Gq Y + Y Gq' = 2n*I`` with ``Gq`` the generator
+restricted there and ``Y`` the inverse of sigma restricted there.  When the
+stationary state is unique, Gq is Hurwitz (its eigenvalues are the nonzero
+eigenvalues of G), so Y exists, is unique and is negative definite: the
+decomposition exists, is unique, and its sigma is negative definite on the
+zero-sum subspace.  It is solved directly, and every answer is certified by
+its reconstruction residual.  :func:`decompose` picks the method by N.
 """
 
 from __future__ import annotations
@@ -144,164 +149,127 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return q[:, 1:]
 
 
-def _antisym_basis(n: int) -> list[np.ndarray]:
-    """Antisymmetric matrices q_a q_b' - q_b q_a' spanning the admissible
-    space (every element annihilates the all-ones vector)."""
-    q = _ones_complement_basis(n)
-    mats = []
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            mats.append(np.outer(q[:, i], q[:, j]) - np.outer(q[:, j], q[:, i]))
-    return mats
+#: machine epsilon; eps * |c| * |x| is the rounding floor of the residual of c @ x
+_EPS = np.finfo(float).eps
+#: most Newton steps that polish the direct solve
+_NEWTON_STEPS = 3
 
 
-def _sym_indices(n: int) -> list[tuple[int, int]]:
-    """Upper-triangular index pairs of sigma, excluding the gauge entry."""
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if not (i == n - 2 and j == n - 1)
-    ]
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.T)
 
 
-def _sigma_from_vec(vec, indices, n):
-    sigma = np.zeros((n, n))
-    for val, (i, j) in zip(vec, indices):
-        sigma[i, j] = val
-        sigma[j, i] = val
-    return sigma
+def _antisym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a - a.T)
 
 
-def _sigma_columns(operator, indices, n):
-    """Columns of the linear map sigma-parameters -> vec(operator @ sigma)."""
-    cols = np.empty((n * n, len(indices)))
-    for col, (i, j) in enumerate(indices):
-        basis = np.zeros((n, n))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        cols[:, col] = (operator @ basis).ravel()
-    return cols
+def _lyapunov(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``a @ y + y @ a.T = rhs`` through its Kronecker form."""
+    m = a.shape[0]
+    eye = np.eye(m)
+    y = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), rhs.ravel())
+    return _sym(y.reshape(m, m))
 
 
-def decompose_nstate(
-    w: RateMatrix,
-    tol: float = 1e-8,
-    max_als_iterations: int = 200,
-    max_newton_iterations: int = 60,
-    restarts: int = 3,
-) -> QTDecomposition:
-    """Numerical decomposition for arbitrary dimension.
+def _newton_update(c: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Newton update u for the matching system ``c @ x = g`` with residual r.
 
-    Alternates linear least-squares solves for sigma given K and for K
-    given sigma (initialized from K = 0), then polishes with damped
-    Gauss-Newton steps on the joint bilinear system.  Failed runs are
-    retried from seeded random circulation starts.  Success means the
-    Frobenius reconstruction residual is at most ``tol``.
+    Here ``c = n*I + k`` with k antisymmetric and x symmetric.  The
+    symmetric part of u updates x and its antisymmetric part updates k:
+    ``c @ sym(u) + antisym(u) @ x = r``, solved in Kronecker form.
+    """
+    m = x.shape[0]
+    eye = np.eye(m)
+    swap = np.arange(m * m).reshape(m, m).T.ravel()  # vec(u) -> vec(u.T)
+    left, right = np.kron(c, eye), np.kron(eye, x)
+    operator = 0.5 * (left + left[:, swap] + right - right[:, swap])
+    return np.linalg.solve(operator, r.ravel()).reshape(m, m)
+
+
+def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
+    """Direct decomposition for arbitrary dimension.
+
+    On the orthonormal zero-sum basis Q the matching system reduces to
+    ``(n*I + Kq) Xq = Gq`` with ``Gq = Q' G Q``, ``Xq = Q' sigma Q``
+    symmetric and ``Kq`` antisymmetric.  With ``Y = Xq^-1`` the symmetric
+    part of ``Gq Y`` must be ``n*I``: the linear Lyapunov equation
+    ``Gq Y + Y Gq' = 2n*I``.  When the stationary state is unique, Gq
+    carries the nonzero eigenvalues of G, all in the open left half-plane,
+    so Gq is Hurwitz; Y is then unique and negative definite, and so is
+    sigma on the zero-sum subspace.  The all-ones part of sigma follows from
+    ``(n*I + Kq)^-1 Q' G 1`` and the canonical gauge ``sigma[n-2, n-1] = 0``
+    fixes the free shift.
+
+    A reducible chain has zero-sum stationary directions, the kernel of Gq.
+    Sigma vanishes on them (``Gq v = 0`` forces ``Xq v = 0``), so the
+    Lyapunov equation is solved on the complement of the kernel, where the
+    remaining eigenvalues of G keep it Hurwitz.  The rows of Kq along the
+    kernel follow from the matching system; its block within the kernel,
+    free when the chain has three or more closed classes, is set to zero.
+
+    Rates spanning many decades or a nearly reducible chain make the
+    Lyapunov operator ill-conditioned, so up to three Newton steps on the
+    matching system polish the solve until its residual reaches rounding
+    level.  Success means the Frobenius reconstruction residual is at most
+    ``tol``.
 
     Raises
     ------
     NoConvergence
-        If no run reaches ``tol``; carries the best residual seen and the
-        iteration count, since solvability for general dimension rests on
-        parameter counting rather than proof.
+        If the reconstruction residual exceeds ``tol``; carries the
+        residual and the number of Newton steps taken.
     """
     n = w.n
-    assert free_parameter_count(n) == n * (n - 1)
     g = generator_from_rates(w).m
-    n_proj = n * centering_projector(n)
-    k_basis = _antisym_basis(n)
-    sym_idx = _sym_indices(n)
-    n_sigma = len(sym_idx)
-    n_k = len(k_basis)
-    g_vec = g.ravel()
-
-    def k_from_vec(kvec):
-        if n_k == 0:
-            return np.zeros((n, n))
-        return np.tensordot(kvec, np.asarray(k_basis), axes=1)
-
-    def residual_matrix(svec, kvec):
-        return (n_proj + k_from_vec(kvec)) @ _sigma_from_vec(svec, sym_idx, n) - g
-
-    def solve_sigma(kvec):
-        design = _sigma_columns(n_proj + k_from_vec(kvec), sym_idx, n)
-        sol, *_ = np.linalg.lstsq(design, g_vec, rcond=None)
-        return sol
-
-    def k_columns(sigma):
-        return np.column_stack([(basis @ sigma).ravel() for basis in k_basis])
-
-    def solve_k(svec):
-        if n_k == 0:
-            return np.zeros(0)
-        sigma = _sigma_from_vec(svec, sym_idx, n)
-        rhs = (g - n_proj @ sigma).ravel()
-        sol, *_ = np.linalg.lstsq(k_columns(sigma), rhs, rcond=None)
-        return sol
-
-    def run(k_start):
-        iterations = 0
-        kvec = k_start
-        svec = solve_sigma(kvec)
-        res = np.linalg.norm(residual_matrix(svec, kvec))
-        for _ in range(max_als_iterations):
-            iterations += 1
-            kvec = solve_k(svec)
-            svec = solve_sigma(kvec)
-            new_res = np.linalg.norm(residual_matrix(svec, kvec))
-            stalled = abs(res - new_res) <= 1e-15 * max(1.0, res)
-            res = new_res
-            if res <= tol * 1e-3 or stalled:
+    q = _ones_complement_basis(n)
+    gq = q.T @ g @ q
+    _, s, vt = np.linalg.svd(gq)
+    rank = int(np.count_nonzero(s > s[0] * s.size * _EPS))
+    # Keep the zero-sum basis itself when the kernel is trivial.
+    v = vt[:rank].T if rank < s.size else np.eye(rank)
+    kernel = vt[rank:].T
+    gv = v.T @ gq @ v
+    n_eye = n * np.eye(rank)
+    steps = 0
+    try:
+        kv = _antisym(gv @ _lyapunov(gv, 2.0 * n_eye) - n_eye)
+        xv = _sym(np.linalg.solve(n_eye + kv, gv))
+        for _ in range(_NEWTON_STEPS):
+            c = n_eye + kv
+            rv = gv - c @ xv
+            if np.linalg.norm(rv) <= _EPS * np.linalg.norm(c) * np.linalg.norm(xv):
                 break
-        for _ in range(max_newton_iterations):
-            if res <= tol * 1e-4:
-                break
-            iterations += 1
-            sigma = _sigma_from_vec(svec, sym_idx, n)
-            operator = n_proj + k_from_vec(kvec)
-            jac_sigma = _sigma_columns(operator, sym_idx, n)
-            if n_k:
-                jacobian = np.hstack([jac_sigma, k_columns(sigma)])
-            else:
-                jacobian = jac_sigma
-            step, *_ = np.linalg.lstsq(
-                jacobian, -residual_matrix(svec, kvec).ravel(), rcond=None
-            )
-            damping = 1.0
-            for _ in range(30):
-                s_try = svec + damping * step[:n_sigma]
-                k_try = kvec + damping * step[n_sigma:]
-                new_res = np.linalg.norm(residual_matrix(s_try, k_try))
-                if new_res < res:
-                    break
-                damping *= 0.5
-            else:
-                break
-            svec, kvec, res = s_try, k_try, new_res
-        return svec, kvec, res, iterations
-
-    best = run(np.zeros(n_k))
-    attempt = 0
-    while best[2] > tol and attempt < restarts and n_k > 0:
-        rng = np.random.default_rng(attempt)
-        candidate = run(rng.standard_normal(n_k))
-        if candidate[2] < best[2]:
-            best = candidate
-        attempt += 1
-    svec, kvec, res, iterations = best
-    if res > tol:
-        raise NoConvergence(res, iterations)
-
-    sigma = _sigma_from_vec(svec, sym_idx, n)
-    k_mat = k_from_vec(kvec)
-    r = float(k_mat[0, 1]) if n == 3 else None
+            u = _newton_update(c, xv, rv)
+            xv, kv = xv + _sym(u), kv + _antisym(u)
+            steps += 1
+        # Kernel rows of (nI + Kq) Xq = Gq; the kernel-kernel block stays 0.
+        off = kernel @ (kernel.T @ gq @ v @ np.linalg.inv(xv)) @ v.T
+        kq = v @ kv @ v.T + off - off.T
+        b = q @ np.linalg.solve(n * np.eye(n - 1) + kq, q.T @ g.sum(axis=1)) / n
+    except np.linalg.LinAlgError:
+        raise NoConvergence(float("inf"), steps) from None
+    sigma = _sym(q @ v @ xv @ v.T @ q.T + b[:, None] + b[None, :])
+    sigma = sigma - sigma[n - 2, n - 1]
+    k_mat = _antisym(q @ kq @ q.T)
+    res = float(np.linalg.norm((n * centering_projector(n) + k_mat) @ sigma - g))
+    if not res <= tol:
+        raise NoConvergence(res, steps)
     return QTDecomposition(
         entropy=QuadraticEntropy(sigma),
         k_mat=k_mat,
-        r=r,
-        residual=float(res),
+        r=float(k_mat[0, 1]) if n == 3 else None,
+        residual=res,
     )
+
+
+def decompose(w: RateMatrix) -> QTDecomposition:
+    """Decomposition by dimension: the closed forms for N=2 and N=3, the
+    direct solve of :func:`decompose_nstate` otherwise."""
+    if w.n == 2:
+        return decompose_2state(w)
+    if w.n == 3:
+        return decompose_3state(w)
+    return decompose_nstate(w)
 
 
 def decomposition_to_json(qt: QTDecomposition) -> dict:

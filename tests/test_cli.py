@@ -224,6 +224,18 @@ def test_structure_reducible_chain_is_solver_failure(tmp_path):
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NonUniqueStationary"
 
 
+@pytest.mark.parametrize("rates", [
+    np.zeros((4, 4)).tolist(),
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 0]],
+])
+def test_decompose_reducible_chain_succeeds(tmp_path, rates):
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"rates": rates}), encoding="utf-8")
+    proc = run_cli("decompose", "--rates", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["residual"] <= 1e-8
+
+
 def test_spectrum_json_fields():
     doc = json.loads(run_cli("spectrum", "--rates", str(DATA / "rates_cyclic.json")).stdout)
     assert set(doc) == {"eigenvalues", "zero_index", "gap", "null_dim"}

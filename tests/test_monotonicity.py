@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,20 @@ def test_sweep_independent_of_job_count():
     parallel = sweep(template, "e", "c", ((0.0, 2.0), (0.0, 2.0)), 40, jobs=4)
     assert np.array_equal(serial.classes, parallel.classes)
     assert np.array_equal(serial.discriminants, parallel.discriminants)
+
+
+def test_sweep_allocates_full_grids_only_for_results():
+    # the four fixed coefficients broadcast as scalars; a 1000x1000 sweep
+    # holds D, the class codes (11.5 MiB together) and a few intermediates
+    template = RateMatrix.from_coeffs(1, 2, 3, 4, 5, 6)
+    tracemalloc.start()
+    try:
+        region = sweep(template, "a", "e", ((0.0, 5.0), (0.0, 5.0)), 1000, jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.discriminants.shape == (1000, 1000)
+    assert peak < 50 * 2**20
 
 
 def test_sweep_cells_match_eigen_oracle(rng):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtpme import (
     QTDecomposition,
     QuadraticEntropy,
     RateMatrix,
     centering_projector,
+    decompose,
     decompose_2state,
     decompose_3state,
     decompose_nstate,
@@ -16,7 +18,7 @@ from qtpme import (
     validate_rates,
 )
 from qtpme.core import K3_PATTERN
-from qtpme.errors import DegenerateRatesWarning
+from qtpme.errors import DegenerateRatesWarning, NoConvergence
 from qtpme.qt import free_parameter_count
 
 from conftest import random_rate_matrix
@@ -305,3 +307,119 @@ def test_reconstruction_residual_zero_case():
     )
     g = generator_from_rates(validate_rates(np.zeros((3, 3))))
     assert reconstruction_residual(qt, g) == 0.0
+
+
+def log_uniform_rates(rng, n, lo, hi):
+    """Rates drawn log-uniformly from [lo, hi]; all positive, so irreducible."""
+    w = np.exp(rng.uniform(np.log(lo), np.log(hi), (n, n)))
+    np.fill_diagonal(w, 0.0)
+    return RateMatrix(w)
+
+
+def zero_sum_entropy_eigenvalues(qt):
+    """Eigenvalues of sigma on the zero-sum subspace, in a basis built
+    independently of the solver's."""
+    n = qt.n
+    basis = np.linalg.svd(centering_projector(n))[0][:, : n - 1]
+    return np.linalg.eigvalsh(basis.T @ qt.entropy.sigma @ basis)
+
+
+def assert_certified(qt, w, tol=1e-8):
+    assert qt.residual <= tol
+    assert reconstruction_residual(qt, generator_from_rates(w)) <= tol
+    assert qt.entropy.in_canonical_gauge
+    assert np.array_equal(qt.k_mat, -qt.k_mat.T)
+
+
+def test_decompose_dispatches_by_dimension(rng):
+    for n, solver in ((2, decompose_2state), (3, decompose_3state), (5, decompose_nstate)):
+        w = random_rate_matrix(rng, n)
+        got, want = decompose(w), solver(w)
+        assert np.array_equal(got.entropy.sigma, want.entropy.sigma)
+        assert np.array_equal(got.k_mat, want.k_mat)
+        assert got.r == want.r
+
+
+def test_decompose_nstate_raises_above_tolerance(rng):
+    w = random_rate_matrix(rng, 5)
+    with pytest.raises(NoConvergence) as info:
+        decompose_nstate(w, tol=1e-30)
+    assert 0.0 < info.value.residual <= 1e-12
+
+
+def test_decompose_nstate_zero_rates():
+    qt = decompose_nstate(validate_rates(np.zeros((4, 4))))
+    assert qt.residual == 0.0
+    assert np.array_equal(qt.entropy.sigma, np.zeros((4, 4)))
+    assert np.array_equal(qt.k_mat, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("rates", [
+    # two disjoint 2-cycles: two stationary states
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 0]],
+    # two absorbing states fed by one transient state
+    [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+    # three disjoint 2-cycles: the kernel block of K is free and set to 0
+    np.kron(np.eye(3), [[0, 1], [2, 0]]).tolist(),
+])
+def test_decompose_nstate_reducible_chains(rates):
+    w = validate_rates(rates)
+    qt = decompose_nstate(w)
+    assert_certified(qt, w, tol=1e-13)
+    # sigma is negative semidefinite on the zero-sum subspace and vanishes
+    # on the difference of the stationary states
+    assert zero_sum_entropy_eigenvalues(qt).max() <= 1e-14
+
+
+def test_decompose_nstate_transient_state():
+    # one-way 1 -> 2 -> {3 <-> 4}: state 1 is transient, the stationary
+    # state is unique, so sigma is negative definite on the zero-sum space
+    w = validate_rates([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    qt = decompose_nstate(w)
+    assert_certified(qt, w, tol=1e-13)
+    assert zero_sum_entropy_eigenvalues(qt).max() < -1e-3
+
+
+@pytest.mark.parametrize("coupling", [1e-16, 1e-14, 1e-12, 1e-9, 1e-6])
+def test_decompose_nstate_nearly_reducible_chain(coupling):
+    # two 2-cycles joined by weak one-way links into one irreducible chain
+    rates = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 0]], float)
+    rates[2, 1] = rates[0, 3] = coupling
+    w = validate_rates(rates)
+    assert_certified(decompose_nstate(w), w, tol=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (1e-6, 1e6, 4), (1e-6, 1e6, 6), (1e-6, 1e6, 10), (1e-4, 1e4, 20), (1e-4, 1e4, 30),
+])
+def test_decompose_nstate_rates_spanning_decades(lo, hi, n):
+    rng = np.random.default_rng(20_000 + n)
+    for _ in range(5 if n <= 10 else 2):
+        w = log_uniform_rates(rng, n, lo, hi)
+        assert_certified(decompose_nstate(w), w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 30),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-2.0, 2.0),
+)
+def test_decompose_nstate_certificates(n, seed, log_scale):
+    # rates stay within [1e-4, 1e4], where the absolute tolerance 1e-8 lies
+    # above the rounding floor of the residual up to N=30
+    w = log_uniform_rates(np.random.default_rng(seed), n, 1e-2, 1e2)
+    qt = decompose_nstate(w)
+    assert zero_sum_entropy_eigenvalues(qt).max() < 0.0
+    k = qt.k_mat
+    assert np.array_equal(k, -k.T)
+    scale = max(1.0, np.abs(k).max())
+    assert np.abs(k.sum(axis=0)).max() <= 1e-12 * scale
+    assert np.abs(k.sum(axis=1)).max() <= 1e-12 * scale
+    assert qt.entropy.sigma[n - 2, n - 1] == 0.0
+    # a change of time unit scales sigma and leaves the circulation alone
+    c = 10.0 ** log_scale
+    scaled = decompose_nstate(RateMatrix(c * w.w))
+    sigma = qt.entropy.sigma
+    assert np.abs(scaled.entropy.sigma - c * sigma).max() <= 1e-9 * c * np.abs(sigma).max()
+    assert np.abs(scaled.k_mat - k).max() <= 1e-9 * scale
