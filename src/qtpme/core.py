@@ -149,7 +149,9 @@ class Generator:
         arr = np.asarray(self.m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise BadShape(f"generator must be square, got shape {arr.shape}")
-        n = arr.shape[0]
+        if not np.all(np.isfinite(arr)):
+            # finite rates can still overflow a diagonal column sum
+            raise ValidationError("generator has non-finite entries")
         off = arr - np.diag(np.diag(arr))
         if off.min() < 0.0:
             raise ValidationError("generator has a negative off-diagonal entry")

@@ -64,17 +64,6 @@ class NonUniqueStationary(SolverError):
         )
 
 
-class DefectiveGenerator(SolverError):
-    """Eigenvector matrix numerically singular; use the RK4 integrator instead."""
-
-    def __init__(self, condition):
-        self.condition = condition
-        super().__init__(
-            f"generator eigenvector matrix is ill-conditioned (cond={condition:.3e}); "
-            "fall back to RK4"
-        )
-
-
 class UnstableStep(SolverError):
     """RK4 step outside the method's stability region: the iteration would
     amplify some eigenmode of the generator instead of damping it."""

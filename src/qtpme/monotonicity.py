@@ -25,7 +25,8 @@ from .core import (
 )
 from .errors import BadAxis, BadShape, ValidationError
 
-#: base width of the boundary band around D = 0 (scaled by max(1, xi^2))
+#: relative width of the boundary band around D = 0 (scaled by xi^2, so
+#: the class does not depend on the time unit of the rates)
 TOL_B = 1e-9
 
 
@@ -70,8 +71,9 @@ def discriminant_values(a, b, c, d, e, f):
 
 
 def classify_discriminant(disc, xi):
-    """Class code for a discriminant at the boundary tolerance."""
-    tol = TOL_B * np.maximum(1.0, xi * xi)
+    """Class code for a discriminant at the boundary tolerance; all-zero
+    rates (xi = 0, D = 0) fall on the boundary."""
+    tol = TOL_B * (xi * xi)
     return np.where(disc < -tol, "O", np.where(disc > tol, "M", "B"))
 
 

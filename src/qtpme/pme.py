@@ -17,6 +17,8 @@ from .errors import NonUniqueStationary
 
 #: relative tolerance for the structural flags
 STRUCTURE_RTOL = 1e-12
+#: singular values at most this times n times the largest one count as zero
+KERNEL_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,12 +37,12 @@ class StructureReport:
     null_dim: int
 
 
-def kernel_dimension(g: Generator, rtol: float = 1e-12) -> int:
+def kernel_dimension(g: Generator) -> int:
     """Numerical kernel dimension of the generator via singular values."""
     s = np.linalg.svd(g.m, compute_uv=False)
     if s[0] == 0.0:
         return g.n
-    return int(np.sum(s <= rtol * g.n * s[0]))
+    return int(np.sum(s <= KERNEL_RTOL * g.n * s[0]))
 
 
 def stationary_distribution(g: Generator) -> ProbabilityVector:

@@ -211,12 +211,13 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     Lyapunov operator ill-conditioned, so up to three Newton steps on the
     matching system polish the solve until its residual reaches rounding
     level.  Success means the Frobenius reconstruction residual is at most
-    ``tol``.
+    ``tol`` times the Frobenius norm of the generator, a bound that follows
+    the rates through any change of time unit.
 
     Raises
     ------
     NoConvergence
-        If the reconstruction residual exceeds ``tol``; carries the
+        If the reconstruction residual exceeds ``tol * |G|``; carries the
         residual and the number of Newton steps taken.
     """
     n = w.n
@@ -252,7 +253,7 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     sigma = sigma - sigma[n - 2, n - 1]
     k_mat = _antisym(q @ kq @ q.T)
     res = float(np.linalg.norm((n * centering_projector(n) + k_mat) @ sigma - g))
-    if not res <= tol:
+    if not res <= tol * np.linalg.norm(g):
         raise NoConvergence(res, steps)
     return QTDecomposition(
         entropy=QuadraticEntropy(sigma),

@@ -25,6 +25,9 @@ CASES = {
     "simulate_rk4.csv": ["simulate", "--rates", str(DATA / "rates_cyclic.json"),
                          "--p0", "1,0,0", "--t-end", "1", "--steps", "8",
                          "--method", "rk4", "--monitor"],
+    "simulate_exact.csv": ["simulate", "--rates", str(DATA / "rates_cyclic.json"),
+                           "--p0", "1,0,0", "--t-end", "1", "--steps", "8",
+                           "--method", "exact", "--monitor"],
     "sweep.csv": ["sweep", "--rates", str(DATA / "rates_cyclic.json"),
                   "--vary", "e:0:2:5", "--vary", "c:0:2:5", "--jobs", "1"],
     "yd_curve.csv": ["yd", "curve", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1",

@@ -183,19 +183,26 @@ def test_closed_method_rejected_for_large_n(tmp_path):
     assert "numeric" in proc.stderr
 
 
-def test_simulate_defective_generator_is_solver_failure(tmp_path):
-    # a = d = 1, rest zero: defective spectrum, exact propagator refuses
-    doc = {"rates": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}
-    path = tmp_path / "defective.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    proc = run_cli("simulate", "--rates", str(path), "--p0", "1,0,0",
-                   "--t-end", "1", "--steps", "10", "--method", "exact")
-    assert proc.returncode == 2
-    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "DefectiveGenerator"
-    # the suggested fallback succeeds
-    proc = run_cli("simulate", "--rates", str(path), "--p0", "1,0,0",
-                   "--t-end", "1", "--steps", "10", "--method", "rk4")
-    assert proc.returncode == 0
+def test_simulate_exact_answers_defective_and_boundary_generators(tmp_path):
+    # a = d = 1, rest zero: defective spectrum, p1 = exp(-t), p2 = t exp(-t);
+    # a = d = e = 1, f = 1 - 3e-16: D = 0 to rounding
+    for rates, p1, p2 in (
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], lambda t: np.exp(-t), lambda t: t * np.exp(-t)),
+        ([[0, 0, 1], [1, 0, 1 - 3e-16], [0, 1, 0]], None, None),
+    ):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps({"rates": rates}), encoding="utf-8")
+        proc = run_cli("simulate", "--rates", str(path), "--p0", "1,0,0",
+                       "--t-end", "10", "--steps", "100", "--method", "exact")
+        assert proc.returncode == 0, proc.stderr
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in proc.stdout.splitlines()[1:]])
+        t, states = rows[:, 0], rows[:, 1:]
+        assert np.abs(states.sum(axis=1) - 1.0).max() <= 1e-12
+        assert states.min() >= -1e-15
+        if p1 is not None:
+            assert np.abs(states[:, 0] - p1(t)).max() <= 1e-12
+            assert np.abs(states[:, 1] - p2(t)).max() <= 1e-12
 
 
 def test_simulate_unstable_rk4_step_is_solver_failure(tmp_path):
@@ -222,6 +229,18 @@ def test_structure_reducible_chain_is_solver_failure(tmp_path):
     proc = run_cli("structure", "--rates", str(path))
     assert proc.returncode == 2
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NonUniqueStationary"
+
+
+def test_overflowing_generator_is_input_error(tmp_path):
+    # finite rates whose column sum overflows to inf
+    path = tmp_path / "overflow.json"
+    path.write_text('{"rates": [[0, 1, 1, 1], [1e308, 0, 1, 1], [1e308, 1, 0, 1], '
+                    '[1, 1, 1, 0]]}', encoding="utf-8")
+    for command, *extra in (["decompose"], ["spectrum"], ["structure"],
+                            ["simulate", "--p0", "1,0,0,0", "--t-end", "1", "--steps", "4"]):
+        proc = run_cli(command, "--rates", str(path), *extra)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
 
 
 @pytest.mark.parametrize("rates", [

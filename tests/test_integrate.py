@@ -7,7 +7,9 @@ from qtpme import (
     Method,
     ProbabilityVector,
     RateMatrix,
+    RelaxationKind,
     decompose_3state,
+    discriminant,
     extrema_count,
     generator_from_rates,
     integrate,
@@ -15,13 +17,7 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
-from qtpme.errors import (
-    DefectiveGenerator,
-    ProbabilityDrift,
-    SolverError,
-    UnstableStep,
-    ValidationError,
-)
+from qtpme.errors import ProbabilityDrift, SolverError, UnstableStep, ValidationError
 from qtpme.integrate import Trajectory
 
 from conftest import random_probability, random_rate_matrix
@@ -72,17 +68,78 @@ def test_total_probability_conservation(rng):
     assert np.abs(rk4.states.sum(axis=1) - 1.0).max() <= 1e-7
 
 
-def test_defective_generator_falls_back_to_rk4():
-    # a = d = 1 gives a repeated eigenvalue -1 with a single eigenvector
+def test_defective_generator_matches_closed_form():
+    # a = d = 1 gives a repeated eigenvalue -1 with a single eigenvector;
+    # closed form: p1 = exp(-t), p2 = t exp(-t)
     g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 0, 0))
     p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DefectiveGenerator):
-        integrate(g, p0, t_end=5.0, steps=100, method=Method.EXACT)
-    traj = integrate(g, p0, t_end=5.0, steps=5000, method=Method.RK4)
-    # closed form: p1 = exp(-t), p2 = t exp(-t)
-    t = traj.times
-    assert np.abs(traj.states[:, 0] - np.exp(-t)).max() <= 1e-9
-    assert np.abs(traj.states[:, 1] - t * np.exp(-t)).max() <= 1e-9
+    for method, steps, tol in ((Method.EXACT, 100, 1e-12), (Method.RK4, 5000, 1e-9)):
+        traj = integrate(g, p0, t_end=5.0, steps=steps, method=method)
+        t = traj.times
+        assert np.abs(traj.states[:, 0] - np.exp(-t)).max() <= tol
+        assert np.abs(traj.states[:, 1] - t * np.exp(-t)).max() <= tol
+
+
+def test_exact_conserves_on_boundary_generator():
+    # D = 0 to rounding: the eigenvector matrix is nearly singular
+    w = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 1 - 3e-16)
+    assert discriminant(w).kind is RelaxationKind.BOUNDARY
+    traj = integrate(generator_from_rates(w), ProbabilityVector(np.array([1.0, 0.0, 0.0])),
+                     t_end=10.0, steps=1000, method=Method.EXACT)
+    assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+    assert traj.states.min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lo, hi, t_end", [(1e-6, 1e6, 100.0), (1e-8, 1e8, 10.0)])
+def test_exact_conserves_on_stiff_chains(seed, lo, hi, t_end):
+    rng = np.random.default_rng(seed)
+    rates = np.exp(rng.uniform(np.log(lo), np.log(hi), (5, 5)))
+    np.fill_diagonal(rates, 0.0)
+    g = generator_from_rates(validate_rates(rates))
+    traj = integrate(g, ProbabilityVector(np.full(5, 0.2)), t_end=t_end, steps=100_000,
+                     method=Method.EXACT)
+    assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+    assert traj.states.min() >= 0.0
+
+
+def test_exact_is_nonnegative_on_sparse_stiff_chains():
+    # a state that a stiff chain has all but emptied must not go negative
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(3, 11))
+        rates = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (n, n)))
+        rates *= rng.uniform(size=(n, n)) < 0.3
+        np.fill_diagonal(rates, 0.0)
+        g = generator_from_rates(validate_rates(rates))
+        traj = integrate(g, ProbabilityVector(np.full(n, 1.0 / n)), t_end=1.0, steps=100,
+                         method=Method.EXACT)
+        assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+        assert traj.states.min() >= 0.0
+
+
+def test_exact_step_beyond_float_range():
+    # h times the exit rate, 1.7e309, is not a double; the step still works
+    g = generator_from_rates(RateMatrix.from_coeffs(10, 0, 0, 10, 10, 0))
+    traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0, 0.0])), t_end=1.7e308,
+                     steps=1, method=Method.EXACT)
+    assert np.abs(traj.states[-1] - 1.0 / 3.0).max() <= 1e-15
+
+
+def test_exact_matches_eigen_reference(rng):
+    # well-conditioned chains, where the spectral solution is accurate
+    for n in (3, 5, 10):
+        for _ in range(5):
+            w = random_rate_matrix(rng, n=n, scale=10.0)
+            g = generator_from_rates(w)
+            p0 = random_probability(rng, n)
+            traj = integrate(g, ProbabilityVector(p0), t_end=10.0, steps=100_000,
+                             method=Method.EXACT)
+            lam, vecs = np.linalg.eig(g.m)
+            assert np.linalg.cond(vecs) <= 1e3
+            coeffs = np.linalg.solve(vecs, p0.astype(complex))
+            reference = ((np.exp(np.outer(traj.times, lam)) * coeffs) @ vecs.T).real
+            assert np.abs(traj.states - reference).max() <= 1e-12
 
 
 def test_rk4_outside_stability_region_is_a_solver_error(monkeypatch):

@@ -50,6 +50,23 @@ def test_discriminant_cyclic_is_oscillatory():
     assert verdict.discriminant == -3.0
 
 
+def test_slow_cycle_is_oscillatory():
+    # pure 3-cycle at rates 1e-5: D = -3e-10, a plainly complex pair
+    verdict = discriminant(RateMatrix.from_coeffs(1e-5, 0, 0, 1e-5, 1e-5, 0))
+    assert verdict.discriminant == pytest.approx(-3e-10)
+    assert verdict.kind is RelaxationKind.OSCILLATORY
+
+
+def test_class_is_invariant_under_time_unit(rng):
+    cases = [RateMatrix.from_coeffs(1, 0, 0, 1, 1, 1)]  # D = 0 exactly
+    cases += [sample_monotonic(rng)[0] for _ in range(10)]
+    cases += [sample_oscillatory(rng, resolvable=False)[0] for _ in range(10)]
+    for w in cases:
+        kind = discriminant(w).kind
+        for c in 10.0 ** np.arange(-12, 13):
+            assert discriminant(RateMatrix(c * w.w)).kind is kind
+
+
 def test_discriminant_requires_three_states():
     with pytest.raises(BadShape):
         discriminant(validate_rates([[0, 1], [1, 0]]))

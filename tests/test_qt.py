@@ -347,6 +347,20 @@ def test_decompose_nstate_raises_above_tolerance(rng):
     assert 0.0 < info.value.residual <= 1e-12
 
 
+def test_decompose_nstate_certificate_is_relative(rng):
+    # at large rates the residual's rounding floor is above 1e-8 absolute
+    w = log_uniform_rates(np.random.default_rng(0), 30, 1e-6, 1e6)
+    qt = decompose_nstate(w)
+    assert qt.residual <= 1e-8 * np.linalg.norm(generator_from_rates(w).m)
+    # at tiny rates the bound shrinks with them
+    tiny = RateMatrix(1e-12 * random_rate_matrix(rng, 5).w)
+    qt = decompose_nstate(tiny)
+    assert qt.residual > 0.0
+    relative = qt.residual / np.linalg.norm(generator_from_rates(tiny).m)
+    with pytest.raises(NoConvergence):
+        decompose_nstate(tiny, tol=0.5 * relative)
+
+
 def test_decompose_nstate_zero_rates():
     qt = decompose_nstate(validate_rates(np.zeros((4, 4))))
     assert qt.residual == 0.0
@@ -403,12 +417,11 @@ def test_decompose_nstate_rates_spanning_decades(lo, hi, n):
 @given(
     n=st.integers(4, 30),
     seed=st.integers(0, 2**32 - 1),
-    log_scale=st.floats(-2.0, 2.0),
+    log_scale=st.floats(-3.0, 3.0),
 )
 def test_decompose_nstate_certificates(n, seed, log_scale):
-    # rates stay within [1e-4, 1e4], where the absolute tolerance 1e-8 lies
-    # above the rounding floor of the residual up to N=30
-    w = log_uniform_rates(np.random.default_rng(seed), n, 1e-2, 1e2)
+    # rates span [1e-6, 1e6] across the draws
+    w = log_uniform_rates(np.random.default_rng(seed), n, 1e-3, 1e3)
     qt = decompose_nstate(w)
     assert zero_sum_entropy_eigenvalues(qt).max() < 0.0
     k = qt.k_mat
