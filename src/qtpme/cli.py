@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -74,16 +75,23 @@ def _load_rates(path: str) -> RateMatrix:
     return rate_matrix_from_json(doc)
 
 
-def _emit(text: str, out) -> None:
-    """Write ``text`` to stdout (``out`` None), to a new file at path
-    ``out``, or to the open text stream ``out``."""
-    if out is None:
-        sys.stdout.write(text)
-    elif isinstance(out, str):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+def _emit(text: str, fh) -> None:
+    """Write ``text`` to the open text stream ``fh``.  Every byte a command
+    outputs passes here, so a trace of ``_emit`` times the writes apart
+    from the formatting."""
+    fh.write(text)
+
+
+def _write(chunks, out_path: str | None) -> None:
+    """Stream text chunks to stdout or to a new file at ``out_path``, each
+    through ``_emit`` as it is produced."""
+    fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8", newline="")
+    try:
+        for chunk in chunks:
+            _emit(chunk, fh)
+    finally:
+        if out_path is not None:
+            fh.close()
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
@@ -116,21 +124,6 @@ def _csv_blocks(columns, lead: str = ""):
         yield (template * (stop - start)) % tuple(values)
 
 
-def _write_csv(header, blocks, out_path: str | None) -> None:
-    """Stream a CSV table to stdout or ``out_path``: the header line, then
-    each text block as it is produced.  Every write goes through ``_emit``,
-    the one output function, so a trace of ``_emit`` times the writes apart
-    from the formatting."""
-    fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8", newline="")
-    try:
-        _emit(",".join(header) + "\n", fh)
-        for block in blocks:
-            _emit(block, fh)
-    finally:
-        if out_path is not None:
-            fh.close()
-
-
 def _json_doc(obj) -> str:
     return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
@@ -158,7 +151,7 @@ def _parse_vary(spec: str):
 
 def _cmd_validate(args) -> int:
     w = _load_rates(args.rates)
-    _emit(_json_doc(rate_matrix_to_json(w)), args.out)
+    _write([_json_doc(rate_matrix_to_json(w))], args.out)
     return _EXIT_OK
 
 
@@ -172,7 +165,7 @@ def _cmd_decompose(args) -> int:
         decomposition = qt.decompose_nstate(w)
     else:
         decomposition = qt.decompose(w)
-    _emit(_json_doc(qt.decomposition_to_json(decomposition)), args.out)
+    _write([_json_doc(qt.decomposition_to_json(decomposition))], args.out)
     return _EXIT_OK
 
 
@@ -199,21 +192,21 @@ def _cmd_simulate(args) -> int:
         header.append("S_BS")
         columns.append(series.s_bs_vals)
 
-    _write_csv(header, _csv_blocks(columns), args.out)
+    _write(chain([",".join(header) + "\n"], _csv_blocks(columns)), args.out)
     return _EXIT_OK
 
 
 def _cmd_structure(args) -> int:
     w = _load_rates(args.rates)
     report = pme.classify_structure(w)
-    _emit(_json_doc(pme.structure_report_to_json(report)), args.out)
+    _write([_json_doc(pme.structure_report_to_json(report))], args.out)
     return _EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     w = _load_rates(args.rates)
     info = pme.spectrum(pme.generator_from_rates(w))
-    _emit(_json_doc(pme.spectral_info_to_json(info)), args.out)
+    _write([_json_doc(pme.spectral_info_to_json(info))], args.out)
     return _EXIT_OK
 
 
@@ -230,38 +223,17 @@ def _cmd_classify(args) -> int:
         "v": coords.v,
         "omega": coords.omega,
     }
-    _emit(_json_doc(doc), args.out)
+    _write([_json_doc(doc)], args.out)
     return _EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    vary = list(args.vary or [])
-    jobs = args.jobs
-    rates_path = args.rates
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read --config {args.config!r}: {exc}") from exc
-        if not vary:
-            vary = list(config.get("vary", []))
-        if rates_path is None:
-            rates_path = config.get("rates")
-        if jobs is None:
-            jobs = config.get("jobs")
-    if rates_path is None:
-        raise ValidationError("sweep needs --rates (or a config file providing it)")
+    vary = args.vary or []
     if len(vary) != 2:
         raise BadAxis(f"sweep needs exactly two --vary specs, got {len(vary)}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-
-    w = _load_rates(rates_path)
+    w = _load_rates(args.rates)
     (ax1, lo1, hi1, n1), (ax2, lo2, hi2, n2) = (_parse_vary(s) for s in vary)
-    region = monotonicity.sweep(
-        w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2), jobs=jobs
-    )
+    region = monotonicity.sweep(w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2))
 
     def blocks():
         # Each grid value is formatted once: axis1 as the fixed start of its
@@ -271,7 +243,7 @@ def _cmd_sweep(args) -> int:
         for text1, classes, discs in rows:
             yield from _csv_blocks([text2, classes, discs], lead=text1 + ",")
 
-    _write_csv([region.axis1, region.axis2, "class", "D"], blocks(), args.out)
+    _write(chain([f"{ax1},{ax2},class,D\n"], blocks()), args.out)
     return _EXIT_OK
 
 
@@ -289,13 +261,13 @@ def _cmd_yd_curve(args) -> int:
             k_max = 10.0
     curve = yd.yd_curve(params, args.k_min, k_max, args.steps)
     columns = [curve.k_grid, curve.rho1, curve.rho2, curve.rho3]
-    _write_csv(["k", "rho1", "rho2", "rho3"], _csv_blocks(columns), args.out)
+    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(columns)), args.out)
     return _EXIT_OK
 
 
 def _cmd_yd_optimal(args) -> int:
     k_opt = yd.yd_optimal_arousal(_yd_params(args))
-    _emit(_json_doc(float(k_opt)), args.out)
+    _write([_json_doc(float(k_opt))], args.out)
     return _EXIT_OK
 
 
@@ -307,7 +279,7 @@ def _cmd_yd_check(args) -> int:
         "satisfied": report.satisfied,
         "omega_at_kopt": report.omega_at_kopt,
     }
-    _emit(_json_doc(doc), args.out)
+    _write([_json_doc(doc)], args.out)
     return _EXIT_OK
 
 
@@ -364,14 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="region CSV over two varied coefficients")
-    p_sweep.add_argument("--rates", default=None, help="path to rate-matrix JSON template")
-    p_sweep.add_argument("--out", default=None, help="output path (default: stdout)")
+    add_rates(p_sweep)
     p_sweep.add_argument("--vary", action="append", metavar="name:lo:hi:steps",
                          help=f"axis spec, twice; names from {','.join(COEFF_NAMES)}")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="worker threads (default: CPU count); output order is fixed")
-    p_sweep.add_argument("--config", default=None,
-                         help="JSON file with keys rates/vary/jobs (flags win)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_yd = sub.add_parser("yd", help="arousal-learning model")

@@ -87,11 +87,7 @@ class ProbabilityDrift(SolverError):
 
 
 class SolveFailed(SolverError):
-    def __init__(self, message, condition=None):
-        self.condition = condition
-        if condition is not None:
-            message = f"{message} (condition number {condition:.3e})"
-        super().__init__(message)
+    """A direct solve produced non-finite values."""
 
 
 class NoConvergence(SolverError):

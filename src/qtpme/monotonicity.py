@@ -10,7 +10,6 @@ balanced rate sums no oscillatory region exists at all.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,14 @@ def discriminant_values(a, b, c, d, e, f):
 
 def classify_discriminant(disc, xi):
     """Class code for a discriminant at the boundary tolerance; all-zero
-    rates (xi = 0, D = 0) fall on the boundary."""
+    rates (xi = 0, D = 0) fall on the boundary.
+
+    Raises :class:`ValidationError` when any D or xi is not finite: the
+    rates are finite but so large that their sums or products overflow.
+    """
+    if not (np.isfinite(disc).all() and np.isfinite(xi).all()):
+        raise ValidationError(
+            "discriminant is not finite: the rates are too large for xi^2 - 4q")
     tol = TOL_B * (xi * xi)
     return np.where(disc < -tol, "O", np.where(disc > tol, "M", "B"))
 
@@ -115,16 +121,6 @@ def ellipse_value(coords: UVWCoordinates) -> float:
     return 3.0 * u * u + v * v + 4.0 * omega * u + omega * omega
 
 
-def _sweep_block(coeffs, axis1, axis2, grid1_block, grid2):
-    # The fixed coefficients stay scalars and the axes broadcast, so only
-    # the formula's intermediates take the full grid shape.
-    values = dict(zip(COEFF_NAMES, coeffs))
-    values[axis1] = grid1_block[:, None]
-    values[axis2] = grid2[None, :]
-    disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
-    return disc, classify_discriminant(disc, xi)
-
-
 def sweep(
     template: RateMatrix,
     axis1: str,
@@ -146,8 +142,8 @@ def sweep(
     resolution : int or pair of int
         Number of grid points per axis (a single int applies to both).
     jobs : int
-        Worker threads for row blocks; the output is assembled in fixed
-        row-major order, so results are identical for any job count.
+        Ignored; the grid is one vectorised evaluation.  Kept so that
+        existing callers passing ``jobs=`` keep working.
     """
     if template.n != 3:
         raise BadShape(f"expected N=3 template, got N={template.n}")
@@ -172,19 +168,13 @@ def sweep(
 
     grid1 = np.linspace(lo1, hi1, steps1)
     grid2 = np.linspace(lo2, hi2, steps2)
-    coeffs = template.coeffs
-
-    if jobs > 1 and grid1.size > 1:
-        blocks = np.array_split(np.arange(grid1.size), min(jobs, grid1.size))
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                lambda idx: _sweep_block(coeffs, axis1, axis2, grid1[idx], grid2),
-                blocks,
-            ))
-        disc = np.vstack([part[0] for part in parts])
-        classes = np.vstack([part[1] for part in parts])
-    else:
-        disc, classes = _sweep_block(coeffs, axis1, axis2, grid1, grid2)
+    # The fixed coefficients stay scalars and the axes broadcast, so only
+    # the formula's intermediates take the full grid shape.
+    values = dict(zip(COEFF_NAMES, template.coeffs))
+    values[axis1] = grid1[:, None]
+    values[axis2] = grid2[None, :]
+    disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
+    classes = classify_discriminant(disc, xi)
 
     fraction = float(np.count_nonzero(classes == "O")) / classes.size
     return RegionMap(

@@ -77,7 +77,7 @@ def spectrum(g: Generator) -> SpectralInfo:
     imaginary part.  For a 3-state generator the two nonzero roots satisfy
     the quadratic ``lam^2 + xi*lam + q = 0`` with ``xi`` the total rate sum
     and ``q`` the sum of the generator's principal 2x2 minors (see
-    :func:`secular_coefficients`).
+    :func:`qtpme.monotonicity.discriminant`).
     """
     vals = np.linalg.eigvals(g.m)
     order = np.lexsort((vals.imag, -vals.real))
@@ -88,29 +88,6 @@ def spectrum(g: Generator) -> SpectralInfo:
     nonzero = np.delete(vals, by_magnitude[:null_dim])
     gap = -float(nonzero.real.max()) if nonzero.size else 0.0
     return SpectralInfo(eigenvalues=vals, zero_index=zero_index, gap=gap, null_dim=null_dim)
-
-
-def principal_minor_sum(m: np.ndarray) -> float:
-    """Sum of all principal 2x2 minors of a square matrix."""
-    n = m.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += m[i, i] * m[j, j] - m[i, j] * m[j, i]
-    return float(total)
-
-
-def secular_coefficients(w: RateMatrix) -> tuple[float, float]:
-    """Coefficients (xi, q) of the nonzero-eigenvalue quadratic for N=3.
-
-    xi is the sum of all six rates (minus the generator trace); q is the
-    sum of the generator's principal 2x2 minors, which equals the product
-    of the two nonzero eigenvalues.
-    """
-    g = generator_from_rates(w)
-    xi = -float(np.trace(g.m))
-    q = principal_minor_sum(g.m)
-    return xi, q
 
 
 def classify_structure(w: RateMatrix) -> StructureReport:

@@ -29,7 +29,7 @@ CASES = {
                            "--p0", "1,0,0", "--t-end", "1", "--steps", "8",
                            "--method", "exact", "--monitor"],
     "sweep.csv": ["sweep", "--rates", str(DATA / "rates_cyclic.json"),
-                  "--vary", "e:0:2:5", "--vary", "c:0:2:5", "--jobs", "1"],
+                  "--vary", "e:0:2:5", "--vary", "c:0:2:5"],
     "yd_curve.csv": ["yd", "curve", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1",
                      "--k-min", "0", "--k-max", "4", "--steps", "9"],
     "yd_optimal.json": ["yd", "optimal", "--a1", "1", "--f1", "1", "--d", "4", "--e", "1"],

@@ -39,16 +39,6 @@ def test_golden_outputs_are_stable(name):
     assert first.stdout == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_sweep_output_independent_of_jobs():
-    base = CASES["sweep.csv"]
-    golden = (GOLDEN / "sweep.csv").read_text(encoding="utf-8")
-    for jobs in ("1", "3", "8"):
-        args = base[:-1] + [jobs]  # replace the trailing --jobs value
-        proc = run_cli(*args)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == golden
-
-
 def test_out_flag_writes_identical_bytes(tmp_path):
     # one JSON command and every CSV command: stdout and --out are two sinks
     for name in ("classify.json", "sweep.csv", "yd_curve.csv", "simulate_rk4.csv"):
@@ -82,7 +72,7 @@ def _reference_csv(header, columns, lead=""):
 def _written_csv(header, columns, lead=""):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        cli._write_csv(header, cli._csv_blocks(columns, lead=lead), None)
+        cli._write([",".join(header) + "\n", *cli._csv_blocks(columns, lead=lead)], None)
     return buffer.getvalue()
 
 
@@ -112,7 +102,7 @@ def test_csv_writer_matches_line_by_line_reference(rows, pool, labels, lead, see
 def test_csv_writer_streams_blocks_to_a_file(tmp_path):
     column = np.linspace(-1.0, 1.0, 2 * _BLOCK + 1)
     out = tmp_path / "table.csv"
-    cli._write_csv(["x", "y"], cli._csv_blocks([column, -column]), str(out))
+    cli._write(["x,y\n", *cli._csv_blocks([column, -column])], str(out))
     assert out.read_bytes() == _reference_csv(
         ["x", "y"], [column.tolist(), (-column).tolist()]).encode("utf-8")
 
@@ -277,16 +267,41 @@ def test_bad_p0_is_input_validation():
     assert proc.returncode == 1
 
 
-def test_sweep_config_file_matches_flags(tmp_path):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({
-        "rates": str(DATA / "rates_cyclic.json"),
-        "vary": ["e:0:2:5", "c:0:2:5"],
-        "jobs": 2,
-    }), encoding="utf-8")
-    via_config = run_cli("sweep", "--config", str(config))
-    assert via_config.returncode == 0, via_config.stderr
-    assert via_config.stdout == (GOLDEN / "sweep.csv").read_text(encoding="utf-8")
+@pytest.mark.parametrize("args", [
+    ["--vary", "e:0:2:5", "--vary", "c:0:2:5"],
+    ["--rates", str(DATA / "rates_cyclic.json"), "--vary", "e:0:2:5"],
+])
+def test_sweep_needs_rates_and_two_axes(args):
+    proc = run_cli("sweep", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[-1])["exit_code"] == 1
+
+
+def test_cli_import_loads_no_thread_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qtpme.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_overflowing_discriminant_is_input_error(tmp_path):
+    # finite generators whose xi (1e308) or q (5e160) overflows: D is NaN
+    for big in ("1e308", "5e160"):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"rates": [[0, {big}, 1], [{big}, 0, 1], [1, 1, 0]]}}',
+                        encoding="utf-8")
+        proc = run_cli("classify", "--rates", str(path))
+        assert proc.returncode == 1, (big, proc.stderr)
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
+    proc = run_cli("sweep", "--rates", str(DATA / "rates_cyclic.json"),
+                   "--vary", "a:0:1e308:3", "--vary", "b:0:1e308:3")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
 
 
 def test_classify_json_matches_module():

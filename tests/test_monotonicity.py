@@ -192,12 +192,15 @@ def test_sweep_rejects_bad_axes():
         sweep(template, "a", "b", ((-1, 1), (0, 1)), 5)
 
 
-def test_sweep_independent_of_job_count():
-    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
-    serial = sweep(template, "e", "c", ((0.0, 2.0), (0.0, 2.0)), 40, jobs=1)
-    parallel = sweep(template, "e", "c", ((0.0, 2.0), (0.0, 2.0)), 40, jobs=4)
-    assert np.array_equal(serial.classes, parallel.classes)
-    assert np.array_equal(serial.discriminants, parallel.discriminants)
+def test_non_finite_discriminant_is_input_error():
+    # xi overflows at 1e308; at 5e160 xi is finite but q overflows
+    template = RateMatrix.from_coeffs(1, 2, 3, 4, 5, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for big in (1e308, 5e160):
+            with pytest.raises(ValidationError):
+                discriminant(validate_rates([[0, big, 1], [big, 0, 1], [1, 1, 0]]))
+        with pytest.raises(ValidationError):
+            sweep(template, "a", "b", ((0.0, 1e308), (0.0, 1e308)), 3)
 
 
 def test_sweep_allocates_full_grids_only_for_results():

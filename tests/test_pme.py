@@ -12,7 +12,8 @@ from qtpme import (
     validate_rates,
 )
 from qtpme.errors import NonUniqueStationary
-from qtpme.pme import kernel_dimension, principal_minor_sum, secular_coefficients
+from qtpme.monotonicity import discriminant
+from qtpme.pme import kernel_dimension
 
 from conftest import random_rate_matrix
 
@@ -95,8 +96,8 @@ def test_spectrum_two_state_unit():
 def test_spectrum_1_through_6_secular_roots():
     w = RateMatrix.from_coeffs(1, 2, 3, 4, 5, 6)
     info = spectrum(generator_from_rates(w))
-    xi, q = secular_coefficients(w)
-    assert (xi, q) == (21.0, 94.0)
+    verdict = discriminant(w)
+    assert (verdict.xi, verdict.q) == (21.0, 94.0)
     # quadratic formula for lam^2 + 21 lam + 94
     lam_fast = (-21 - math.sqrt(65)) / 2
     lam_slow = (-21 + math.sqrt(65)) / 2
@@ -122,19 +123,14 @@ def test_secular_equation_against_eigensolver(rng):
     for _ in range(300):
         w = random_rate_matrix(rng, 3)
         g = generator_from_rates(w)
-        xi, q = secular_coefficients(w)
+        verdict = discriminant(w)
+        xi, q = verdict.xi, verdict.q
         vals = np.linalg.eigvals(g.m)
         vals = np.delete(vals, np.argmin(np.abs(vals)))
         scale = max(1.0, xi, abs(q))
         assert abs(vals.sum().real + xi) <= 1e-9 * scale
         assert abs(vals.sum().imag) <= 1e-9 * scale
         assert abs(vals.prod().real - q) <= 1e-9 * scale
-
-
-def test_principal_minor_sum_matches_expansion():
-    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
-    expected = (1 * 5 - 2 * 4) + (1 * 10 - 3 * 7) + (5 * 10 - 6 * 8)
-    assert principal_minor_sum(m) == expected
 
 
 def test_classify_symmetric_rates():
