@@ -181,7 +181,7 @@ def _cmd_simulate(args) -> int:
         decomposition = None
         try:
             decomposition = qt.decompose(w)
-        except NoConvergence as exc:
+        except (NoConvergence, ValidationError) as exc:
             sys.stderr.write(f"warning: no decomposition for S column ({exc})\n")
         series = monitor(traj, decomposition)
         header.append("H")

@@ -25,7 +25,7 @@ from .errors import BadShape, NegativeRate, NonzeroDiagonal, ValidationError
 
 #: tolerated negative drift on probability entries
 TOL_P = 1e-12
-#: tolerated deviation of a probability vector's sum from 1
+#: tolerated deviation from 1 of the sum of a probability vector or trajectory state
 TOL_SUM = 1e-9
 
 _N3_COEFF_INDEX = {
@@ -187,10 +187,6 @@ class QuadraticEntropy:
     @property
     def n(self) -> int:
         return self.sigma.shape[0]
-
-    def value(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        return 0.5 * float(p @ self.sigma @ p)
 
     def gradient(self, p) -> np.ndarray:
         return self.sigma @ np.asarray(p, dtype=float)

@@ -86,10 +86,6 @@ class ProbabilityDrift(SolverError):
         super().__init__(f"probability sum drifted by {drift:.3e} (> {limit:g})")
 
 
-class SolveFailed(SolverError):
-    """A direct solve produced non-finite values."""
-
-
 class NoConvergence(SolverError):
     def __init__(self, residual, iterations):
         self.residual = residual

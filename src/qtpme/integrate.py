@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Generator, ProbabilityVector, QTDecomposition, _frozen_array
+from .core import TOL_SUM, Generator, ProbabilityVector, QTDecomposition, _frozen_array
 from .errors import BadShape, ProbabilityDrift, UnstableStep, ValidationError
+from .pme import eigenvalues
 
-#: largest tolerated deviation of the row sums from 1
-SUM_DRIFT_LIMIT = 1e-9
 #: rounding allowance on the RK4 amplification factor; the generator's zero
 #: eigenvalue is computed only to about machine precision times its norm
 RK4_STABILITY_SLACK = 1e-12
@@ -30,7 +29,7 @@ class Trajectory:
     """Sampled solution p(t): row ``states[k]`` is the state at ``times[k]``.
 
     The row sums carry whatever drift the integrator produced; they are
-    checked against ``SUM_DRIFT_LIMIT`` but never rescaled, so a broken
+    checked against ``TOL_SUM`` but never rescaled, so a broken
     generator shows up here instead of being hidden.
     """
 
@@ -46,17 +45,14 @@ class Trajectory:
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("times must be strictly increasing")
         drift = np.abs(states.sum(axis=1) - 1.0).max()
-        if not drift <= SUM_DRIFT_LIMIT:
-            raise ProbabilityDrift(drift, SUM_DRIFT_LIMIT)
+        if not drift <= TOL_SUM:
+            raise ProbabilityDrift(drift, TOL_SUM)
         object.__setattr__(self, "times", _frozen_array(times))
         object.__setattr__(self, "states", _frozen_array(states))
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
-
-    def state(self, index: int) -> ProbabilityVector:
-        return ProbabilityVector(self.states[index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +89,14 @@ def integrate(
 
     Raises
     ------
+    ValidationError
+        In RK4 mode when an eigenvalue of the generator overflows.
     UnstableStep
         In RK4 mode when the step lies outside the stability region for
         some generator eigenvalue; the error names the smallest stable
         step count.
     ProbabilityDrift
-        When the row sums drift from 1 by more than ``SUM_DRIFT_LIMIT``.
+        When the row sums drift from 1 by more than ``TOL_SUM``.
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
@@ -121,7 +119,7 @@ def integrate(
             power = _conserving(power @ power)
             k *= 2
     elif method is Method.RK4:
-        _check_rk4_stability(np.linalg.eigvals(g.m), t_end, steps)
+        _check_rk4_stability(eigenvalues(g), t_end, steps)
         h = t_end / steps
         m = g.m
         p = p_start.copy()

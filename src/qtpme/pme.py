@@ -13,7 +13,7 @@ from .core import (
     SpectralInfo,
     generator_from_rates,
 )
-from .errors import NonUniqueStationary
+from .errors import NonUniqueStationary, ValidationError
 
 #: relative tolerance for the structural flags
 STRUCTURE_RTOL = 1e-12
@@ -70,6 +70,14 @@ def stationary_distribution(g: Generator) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
+def eigenvalues(g: Generator) -> np.ndarray:
+    """Eigenvalues of the generator; an overflowed one is an input error."""
+    vals = np.linalg.eigvals(g.m)
+    if not np.isfinite(vals).all():
+        raise ValidationError("generator eigenvalues overflow the float range")
+    return vals
+
+
 def spectrum(g: Generator) -> SpectralInfo:
     """All generator eigenvalues with the structural zero identified.
 
@@ -79,7 +87,7 @@ def spectrum(g: Generator) -> SpectralInfo:
     and ``q`` the sum of the generator's principal 2x2 minors (see
     :func:`qtpme.monotonicity.discriminant`).
     """
-    vals = np.linalg.eigvals(g.m)
+    vals = eigenvalues(g)
     order = np.lexsort((vals.imag, -vals.real))
     vals = vals[order]
     null_dim = kernel_dimension(g)

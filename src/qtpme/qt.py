@@ -14,8 +14,8 @@ restricted there and ``Y`` the inverse of sigma restricted there.  When the
 stationary state is unique, Gq is Hurwitz (its eigenvalues are the nonzero
 eigenvalues of G), so Y exists, is unique and is negative definite: the
 decomposition exists, is unique, and its sigma is negative definite on the
-zero-sum subspace.  It is solved directly, and every answer is certified by
-its reconstruction residual.  :func:`decompose` picks the method by N.
+zero-sum subspace.  :func:`decompose` picks the method by N; every answer,
+closed forms included, is certified by its reconstruction residual.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from .core import (
     QTDecomposition,
     QuadraticEntropy,
     RateMatrix,
-    centering_projector,
     generator_from_rates,
 )
-from .errors import BadShape, DegenerateRatesWarning, NoConvergence, SolveFailed
+from .errors import BadShape, DegenerateRatesWarning, NoConvergence, ValidationError
 
 
 def qt_vector_field(qt: QTDecomposition, p) -> np.ndarray:
@@ -49,11 +48,37 @@ def qt_vector_field(qt: QTDecomposition, p) -> np.ndarray:
     return qt.linear_operator() @ (qt.entropy.sigma @ p)
 
 
+def _exponent(g: Generator) -> int:
+    """Binary exponent of max|m|; scaling by its power of two is exact."""
+    return int(np.frexp(np.abs(g.m).max())[1])
+
+
+def _frobenius(a: np.ndarray, g: Generator) -> float:
+    """Frobenius norm of ``a``, taken on ``a`` scaled by the exponent of g so
+    that no entry of the order of g overflows when squared."""
+    e = _exponent(g)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+
+
 def reconstruction_residual(qt: QTDecomposition, g: Generator) -> float:
     """Frobenius norm of (n*P + K) sigma - m."""
     if g.n != qt.n:
         raise BadShape(f"generator dimension {g.n} does not match decomposition {qt.n}")
-    return float(np.linalg.norm(qt.linear_operator() @ qt.entropy.sigma - g.m))
+    return _frobenius(qt.linear_operator() @ qt.entropy.sigma - g.m, g)
+
+
+def _certified(g: Generator, sigma, k_mat, r, tol=1e-8, steps=0) -> QTDecomposition:
+    """Decomposition (sigma, k_mat, r) of g, certified: ValidationError if
+    |G|_F overflows, NoConvergence if the residual exceeds tol * |G|_F."""
+    g_norm = _frobenius(g.m, g)
+    if g_norm == np.inf:
+        raise ValidationError("generator norm overflows the float range")
+    entropy = QuadraticEntropy(sigma)
+    residual = reconstruction_residual(QTDecomposition(entropy, k_mat, r, 0.0), g)
+    if not residual <= tol * g_norm:
+        raise NoConvergence(residual, steps)
+    return QTDecomposition(entropy, k_mat, r, residual)
 
 
 def decompose_2state(w: RateMatrix) -> QTDecomposition:
@@ -64,12 +89,7 @@ def decompose_2state(w: RateMatrix) -> QTDecomposition:
     if w.n != 2:
         raise BadShape(f"expected N=2, got N={w.n}")
     sigma = np.diag([-w.w[1, 0], -w.w[0, 1]])
-    entropy = QuadraticEntropy(sigma)
-    k_mat = np.zeros((2, 2))
-    residual = float(np.linalg.norm(
-        (2.0 * centering_projector(2) + k_mat) @ sigma - generator_from_rates(w).m
-    ))
-    return QTDecomposition(entropy=entropy, k_mat=k_mat, r=None, residual=residual)
+    return _certified(generator_from_rates(w), sigma, np.zeros((2, 2)), None)
 
 
 def decompose_3state(w: RateMatrix) -> QTDecomposition:
@@ -95,12 +115,7 @@ def decompose_3state(w: RateMatrix) -> QTDecomposition:
             DegenerateRatesWarning,
             stacklevel=2,
         )
-        return QTDecomposition(
-            entropy=QuadraticEntropy(np.zeros((3, 3))),
-            k_mat=np.zeros((3, 3)),
-            r=0.0,
-            residual=0.0,
-        )
+        return _certified(g, np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
 
     r = ((a + d + e) - (b + c + f)) / xi
     s, t = 1.0 - r, 1.0 + r
@@ -113,21 +128,13 @@ def decompose_3state(w: RateMatrix) -> QTDecomposition:
         big_a = (2.0 * alpha - s * beta - a) / t
     else:
         big_a = (2.0 * beta - t * alpha - b) / s
-    if not np.isfinite([alpha, beta, big_a, big_b, big_c]).all():
-        raise SolveFailed("3-state matching system produced non-finite coefficients")
 
     sigma = np.array([
         [big_a, alpha, beta],
         [alpha, big_b, 0.0],
         [beta, 0.0, big_c],
     ])
-    k_mat = r * K3_PATTERN
-    residual = float(np.linalg.norm(
-        (3.0 * centering_projector(3) + k_mat) @ sigma - g.m
-    ))
-    return QTDecomposition(
-        entropy=QuadraticEntropy(sigma), k_mat=k_mat, r=float(r), residual=residual
-    )
+    return _certified(g, sigma, r * K3_PATTERN, float(r))
 
 
 def free_parameter_count(n: int) -> int:
@@ -216,12 +223,14 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
 
     Raises
     ------
-    NoConvergence
-        If the reconstruction residual exceeds ``tol * |G|``; carries the
-        residual and the number of Newton steps taken.
+    ValidationError, NoConvergence
+        If |G|_F overflows; if the residual exceeds ``tol * |G|_F`` (inf
+        when a solve fails), carrying the residual and Newton steps taken.
     """
     n = w.n
-    g = generator_from_rates(w).m
+    generator = generator_from_rates(w)
+    e = _exponent(generator)  # solve for g scaled exactly into [-1, 1]
+    g = np.ldexp(generator.m, -e)
     q = _ones_complement_basis(n)
     gq = q.T @ g @ q
     _, s, vt = np.linalg.svd(gq)
@@ -250,17 +259,9 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     except np.linalg.LinAlgError:
         raise NoConvergence(float("inf"), steps) from None
     sigma = _sym(q @ v @ xv @ v.T @ q.T + b[:, None] + b[None, :])
-    sigma = sigma - sigma[n - 2, n - 1]
+    sigma = np.ldexp(sigma - sigma[n - 2, n - 1], e)
     k_mat = _antisym(q @ kq @ q.T)
-    res = float(np.linalg.norm((n * centering_projector(n) + k_mat) @ sigma - g))
-    if not res <= tol * np.linalg.norm(g):
-        raise NoConvergence(res, steps)
-    return QTDecomposition(
-        entropy=QuadraticEntropy(sigma),
-        k_mat=k_mat,
-        r=float(k_mat[0, 1]) if n == 3 else None,
-        residual=res,
-    )
+    return _certified(generator, sigma, k_mat, float(k_mat[0, 1]) if n == 3 else None, tol, steps)
 
 
 def decompose(w: RateMatrix) -> QTDecomposition:

@@ -304,6 +304,36 @@ def test_overflowing_discriminant_is_input_error(tmp_path):
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
 
 
+def test_rates_near_the_float_limit(tmp_path):
+    # |G|_F of the first file overflows; the second squares to overflow only
+    huge, big = tmp_path / "huge.json", tmp_path / "big.json"
+    huge.write_text('{"rates": [[0, 1e308, 1], [1e308, 0, 1], [1, 1, 0]]}', encoding="utf-8")
+    big.write_text('{"rates": [[0, 1e200, 1], [1e200, 0, 1], [1, 1, 0]]}', encoding="utf-8")
+    simulate = ["--p0", "1,0,0", "--t-end", "1", "--steps", "4"]
+    for command, *extra in (["decompose"], ["spectrum"],
+                            ["simulate", *simulate, "--method", "rk4"]):
+        proc = run_cli(command, "--rates", str(huge), *extra)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stdout == ""
+        first, second = proc.stderr.splitlines()
+        assert first.startswith("error: ") and "overflow" in first
+        assert json.loads(second)["error"] == "ValidationError"
+    # the trajectory stands; only the S column, which needs sigma, is dropped
+    proc = run_cli("simulate", "--rates", str(huge), *simulate, "--monitor")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "t,p1,p2,p3,H,S_BS"
+    assert proc.stderr.startswith("warning: no decomposition for S column")
+    assert len(proc.stderr.splitlines()) == 1
+    proc = run_cli("decompose", "--rates", str(big))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert 0.0 <= doc["residual"] <= 1e-8 * 2e200
+    for out in (proc.stdout, run_cli("simulate", "--rates", str(big), *simulate,
+                                      "--monitor").stdout):
+        assert "inf" not in out.lower() and "nan" not in out.lower()
+
+
 def test_classify_json_matches_module():
     doc = json.loads(run_cli("classify", "--rates", str(DATA / "rates_126.json")).stdout)
     assert doc == {"class": "M", "D": 65.0, "xi": 21.0, "q": 94.0,

@@ -18,8 +18,8 @@ from qtpme import (
     validate_rates,
 )
 from qtpme.core import K3_PATTERN
-from qtpme.errors import DegenerateRatesWarning, NoConvergence
-from qtpme.qt import free_parameter_count
+from qtpme.errors import DegenerateRatesWarning, NoConvergence, ValidationError
+from qtpme.qt import _certified, free_parameter_count
 
 from conftest import random_rate_matrix
 
@@ -309,6 +309,36 @@ def test_reconstruction_residual_zero_case():
     assert reconstruction_residual(qt, g) == 0.0
 
 
+def test_closed_forms_certify_rates_near_the_float_limit():
+    # squaring the entries of these generators overflows; the norms scale first
+    for rates in ([[0, 1e200, 1], [1e200, 0, 1], [1, 1, 0]], [[0, 1e200], [3e200, 0]]):
+        w = validate_rates(rates)
+        g_norm = 1e200 * np.linalg.norm(generator_from_rates(w).m * 1e-200)
+        qt = decompose(w)
+        assert np.isfinite(qt.residual)
+        assert qt.residual <= 1e-15 * g_norm
+
+
+def test_overflowing_generator_norm_is_input_error():
+    for rates in ([[0, 1e308, 1], [1e308, 0, 1], [1, 1, 0]], [[0, 1e308], [1.5e308, 0]]):
+        for solver in (decompose, decompose_nstate):
+            with pytest.raises(ValidationError, match="norm overflows"):
+                solver(validate_rates(rates))
+
+
+def test_certifier_rejects_a_wrong_closed_form(rng):
+    w = random_rate_matrix(rng)
+    g = generator_from_rates(w)
+    qt = decompose_3state(w)
+    assert _certified(g, qt.entropy.sigma, qt.k_mat, qt.r).residual == qt.residual
+    sigma = np.array(qt.entropy.sigma)
+    sigma[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(NoConvergence) as info:
+        _certified(g, sigma, qt.k_mat, qt.r)
+    assert info.value.residual > 1e-8 * np.linalg.norm(g.m)
+    assert info.value.iterations == 0
+
+
 def log_uniform_rates(rng, n, lo, hi):
     """Rates drawn log-uniformly from [lo, hi]; all positive, so irreducible."""
     w = np.exp(rng.uniform(np.log(lo), np.log(hi), (n, n)))
@@ -413,16 +443,30 @@ def test_decompose_nstate_rates_spanning_decades(lo, hi, n):
         assert_certified(decompose_nstate(w), w)
 
 
+@pytest.mark.parametrize("c", [1e-250, 1e-20, 1e20, 1e250])
+def test_decompose_nstate_any_time_unit(c):
+    # the solve runs on the generator scaled exactly by a power of two, so a
+    # time unit far from the rates' own neither overflows nor fails the polish
+    rng = np.random.default_rng(31)
+    for n in (5, 6, 10):
+        w = log_uniform_rates(rng, n, 1e-6, 1e6)
+        qt, scaled = decompose_nstate(w), decompose_nstate(RateMatrix(c * w.w))
+        assert scaled.residual <= 1e-14 * c * np.linalg.norm(generator_from_rates(w).m)
+        sigma = qt.entropy.sigma
+        assert np.abs(scaled.entropy.sigma / c - sigma).max() <= 1e-9 * np.abs(sigma).max()
+        assert np.abs(scaled.k_mat - qt.k_mat).max() <= 1e-9 * max(1.0, np.abs(qt.k_mat).max())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(4, 30),
+    n=st.integers(2, 30),
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 3.0),
 )
 def test_decompose_nstate_certificates(n, seed, log_scale):
-    # rates span [1e-6, 1e6] across the draws
+    # rates span [1e-6, 1e6] across the draws; N = 2, 3 take the closed forms
     w = log_uniform_rates(np.random.default_rng(seed), n, 1e-3, 1e3)
-    qt = decompose_nstate(w)
+    qt = decompose(w)
     assert zero_sum_entropy_eigenvalues(qt).max() < 0.0
     k = qt.k_mat
     assert np.array_equal(k, -k.T)
@@ -432,7 +476,7 @@ def test_decompose_nstate_certificates(n, seed, log_scale):
     assert qt.entropy.sigma[n - 2, n - 1] == 0.0
     # a change of time unit scales sigma and leaves the circulation alone
     c = 10.0 ** log_scale
-    scaled = decompose_nstate(RateMatrix(c * w.w))
+    scaled = decompose(RateMatrix(c * w.w))
     sigma = qt.entropy.sigma
     assert np.abs(scaled.entropy.sigma - c * sigma).max() <= 1e-9 * c * np.abs(sigma).max()
     assert np.abs(scaled.k_mat - k).max() <= 1e-9 * scale
