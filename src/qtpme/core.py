@@ -157,9 +157,8 @@ class Generator:
             raise ValidationError("generator has a negative off-diagonal entry")
         if np.diag(arr).max() > 0.0:
             raise ValidationError("generator has a positive diagonal entry")
-        scale = max(1.0, np.abs(arr).max())
         col_sums = arr.sum(axis=0)
-        if np.abs(col_sums).max() > 1e-12 * scale:
+        if np.abs(col_sums).max() > 1e-12 * np.abs(arr).max():
             raise ValidationError(
                 f"generator columns do not sum to zero (max |sum| = {np.abs(col_sums).max():.3e})"
             )
@@ -201,6 +200,16 @@ class QuadraticEntropy:
         if shift == 0.0:
             return self
         return QuadraticEntropy(self.sigma - shift * np.ones((self.n, self.n)))
+
+
+def binary_exponent(a) -> int:
+    """Exponent e with max|a| / 2**e in [1, 2) for nonzero a: ``np.ldexp(a, -e)`` is exact."""
+    return int(np.frexp(np.abs(a).max())[1]) - 1
+
+
+def null_count(s) -> int:
+    """Rank rule: singular values at most ``size*eps*s[0]`` count as zero."""
+    return int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[0]))
 
 
 def centering_projector(n: int) -> np.ndarray:
@@ -335,7 +344,8 @@ def generator_from_rates(w: RateMatrix) -> Generator:
     """
     m = np.array(w.w, dtype=float)
     np.fill_diagonal(m, 0.0)
-    np.fill_diagonal(m, -m.sum(axis=0))
+    with np.errstate(over="ignore"):  # an overflowed sum is rejected by Generator
+        np.fill_diagonal(m, -m.sum(axis=0))
     return Generator(m)
 
 

@@ -21,6 +21,7 @@ from .core import (
     RelaxationKind,
     UVWCoordinates,
     _frozen_array,
+    binary_exponent,
 )
 from .errors import BadAxis, BadShape, ValidationError
 
@@ -69,16 +70,18 @@ def discriminant_values(a, b, c, d, e, f):
     return xi * xi - 4.0 * q, xi, q
 
 
+def _unscaled(x, e):
+    """``x * 2**e``; ValidationError where the rates overflow it."""
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise ValidationError("discriminant is not finite: the rates are too large for xi^2 - 4q")
+    return x
+
+
 def classify_discriminant(disc, xi):
     """Class code for a discriminant at the boundary tolerance; all-zero
-    rates (xi = 0, D = 0) fall on the boundary.
-
-    Raises :class:`ValidationError` when any D or xi is not finite: the
-    rates are finite but so large that their sums or products overflow.
-    """
-    if not (np.isfinite(disc).all() and np.isfinite(xi).all()):
-        raise ValidationError(
-            "discriminant is not finite: the rates are too large for xi^2 - 4q")
+    rates (xi = 0, D = 0) fall on the boundary."""
     tol = TOL_B * (xi * xi)
     return np.where(disc < -tol, "O", np.where(disc > tol, "M", "B"))
 
@@ -88,17 +91,17 @@ def discriminant(w: RateMatrix) -> RelaxationClass:
 
     D < 0 means the nonzero eigenvalue pair is complex (oscillatory
     relaxation), D > 0 a distinct real pair (monotonic relaxation), and
-    |D| within the boundary band a repeated root.
+    |D| within the boundary band a repeated root, all decided at unit size.
     """
     if w.n != 3:
         raise BadShape(f"expected N=3, got N={w.n}")
-    a, b, c, d, e, f = w.coeffs
-    disc, xi, q = discriminant_values(a, b, c, d, e, f)
-    eta = c + d + f
+    e = binary_exponent(w.coeffs)
+    disc, xi, q = discriminant_values(*np.ldexp(w.coeffs, -e))
     code = str(classify_discriminant(disc, xi))
+    disc, xi, q = _unscaled([disc, xi, q], [2 * e, e, 2 * e])
     return RelaxationClass(
         kind=RelaxationKind(code), discriminant=float(disc), xi=float(xi),
-        eta=float(eta), q=float(q),
+        eta=w.c + w.d + w.f, q=float(q),
     )
 
 
@@ -169,12 +172,13 @@ def sweep(
     grid1 = np.linspace(lo1, hi1, steps1)
     grid2 = np.linspace(lo2, hi2, steps2)
     # The fixed coefficients stay scalars and the axes broadcast, so only
-    # the formula's intermediates take the full grid shape.
-    values = dict(zip(COEFF_NAMES, template.coeffs))
-    values[axis1] = grid1[:, None]
-    values[axis2] = grid2[None, :]
-    disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
+    # the formula's intermediates, at unit size, take the full grid shape.
+    values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
+    e = binary_exponent(list(values.values()))
+    values[axis1], values[axis2] = grid1[:, None], grid2[None, :]
+    disc, xi, _ = discriminant_values(*(np.ldexp(values[name], -e) for name in COEFF_NAMES))
     classes = classify_discriminant(disc, xi)
+    disc = _unscaled(disc, 2 * e)
 
     fraction = float(np.count_nonzero(classes == "O")) / classes.size
     return RegionMap(

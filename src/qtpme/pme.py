@@ -11,14 +11,16 @@ from .core import (
     ProbabilityVector,
     RateMatrix,
     SpectralInfo,
+    binary_exponent,
     generator_from_rates,
+    null_count,
 )
 from .errors import NonUniqueStationary, ValidationError
 
 #: relative tolerance for the structural flags
 STRUCTURE_RTOL = 1e-12
-#: singular values at most this times n times the largest one count as zero
-KERNEL_RTOL = 1e-12
+#: the stationary state is certified only while s[-2] > STATIONARY_RTOL*n*s[0]
+STATIONARY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,30 +40,32 @@ class StructureReport:
 
 
 def kernel_dimension(g: Generator) -> int:
-    """Numerical kernel dimension of the generator via singular values."""
-    s = np.linalg.svd(g.m, compute_uv=False)
-    if s[0] == 0.0:
-        return g.n
-    return int(np.sum(s <= KERNEL_RTOL * g.n * s[0]))
+    """Numerical kernel dimension of the generator under :func:`null_count`."""
+    return null_count(np.linalg.svd(np.ldexp(g.m, -binary_exponent(g.m)), compute_uv=False))
 
 
 def stationary_distribution(g: Generator) -> ProbabilityVector:
     """Unique stationary probability vector of an ergodic generator.
 
-    Solves the generator's null space with the normalization row appended
-    (least squares on ``[m; 1'] p = [0; 1]``), then clamps sub-tolerance
-    negative drift to zero.
+    Solves the null space of the generator scaled exactly to unit size with
+    the normalization row appended (least squares on ``[m*2**-e; 1'] p =
+    [0; 1]``), then clamps sub-tolerance negative drift to zero.
 
     Raises
     ------
     NonUniqueStationary
-        If the zero eigenvalue is degenerate (reducible chain); callers
-        must not treat such a chain as ergodic.
+        If the zero eigenvalue is degenerate (reducible chain) or the null
+        vector's forward error bound ``n*eps*s[0]/s[-2]`` reaches 2.2e-4;
+        callers must not treat such a chain as ergodic.
     """
-    null_dim = kernel_dimension(g)
+    m = np.ldexp(g.m, -binary_exponent(g.m))
+    s = np.linalg.svd(m, compute_uv=False)
+    null_dim = null_count(s)
     if null_dim != 1:
         raise NonUniqueStationary(null_dim)
-    aug = np.vstack([g.m, np.ones(g.n)])
+    if s[-2] <= STATIONARY_RTOL * g.n * s[0]:
+        raise NonUniqueStationary(null_dim, g.n * np.finfo(float).eps * s[0] / s[-2])
+    aug = np.vstack([m, np.ones(g.n)])
     rhs = np.zeros(g.n + 1)
     rhs[-1] = 1.0
     p, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
@@ -106,8 +110,8 @@ def classify_structure(w: RateMatrix) -> StructureReport:
     ``p[m] w[n, m]``).  Propagates :class:`NonUniqueStationary` from the
     stationary solve.
     """
-    arr = w.w
-    scale = max(1.0, float(np.abs(arr).max()))
+    arr = np.ldexp(w.w, -binary_exponent(w.w))  # exact; sums cannot overflow
+    scale = float(np.abs(arr).max())
     symmetric = bool(np.abs(arr - arr.T).max() <= STRUCTURE_RTOL * scale)
     row_sums = arr.sum(axis=1)
     col_sums = arr.sum(axis=0)
@@ -115,7 +119,7 @@ def classify_structure(w: RateMatrix) -> StructureReport:
 
     p = stationary_distribution(generator_from_rates(w))
     flux = arr * p.entries[np.newaxis, :]  # flux[m, n] = w[m, n] * p[n]
-    flux_scale = max(1.0, float(np.abs(flux).max()))
+    flux_scale = float(np.abs(flux).max())
     detailed_balance = bool(np.abs(flux - flux.T).max() <= STRUCTURE_RTOL * flux_scale)
 
     return StructureReport(

@@ -30,7 +30,9 @@ from .core import (
     QTDecomposition,
     QuadraticEntropy,
     RateMatrix,
+    binary_exponent,
     generator_from_rates,
+    null_count,
 )
 from .errors import BadShape, DegenerateRatesWarning, NoConvergence, ValidationError
 
@@ -48,15 +50,10 @@ def qt_vector_field(qt: QTDecomposition, p) -> np.ndarray:
     return qt.linear_operator() @ (qt.entropy.sigma @ p)
 
 
-def _exponent(g: Generator) -> int:
-    """Binary exponent of max|m|; scaling by its power of two is exact."""
-    return int(np.frexp(np.abs(g.m).max())[1])
-
-
 def _frobenius(a: np.ndarray, g: Generator) -> float:
     """Frobenius norm of ``a``, taken on ``a`` scaled by the exponent of g so
     that no entry of the order of g overflows when squared."""
-    e = _exponent(g)
+    e = binary_exponent(g.m)
     with np.errstate(over="ignore"):
         return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
@@ -106,8 +103,9 @@ def decompose_3state(w: RateMatrix) -> QTDecomposition:
     """
     if w.n != 3:
         raise BadShape(f"expected N=3, got N={w.n}")
-    a, b, c, d, e, f = w.coeffs
     g = generator_from_rates(w)
+    k = binary_exponent(w.coeffs)  # solve at unit size: xi cannot overflow
+    a, b, c, d, e, f = np.ldexp(w.coeffs, -k)
     xi = a + b + c + d + e + f
     if xi == 0.0:
         warnings.warn(
@@ -129,11 +127,11 @@ def decompose_3state(w: RateMatrix) -> QTDecomposition:
     else:
         big_a = (2.0 * beta - t * alpha - b) / s
 
-    sigma = np.array([
+    sigma = np.ldexp(np.array([
         [big_a, alpha, beta],
         [alpha, big_b, 0.0],
         [beta, 0.0, big_c],
-    ])
+    ]), k)
     return _certified(g, sigma, r * K3_PATTERN, float(r))
 
 
@@ -156,8 +154,6 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return q[:, 1:]
 
 
-#: machine epsilon; eps * |c| * |x| is the rounding floor of the residual of c @ x
-_EPS = np.finfo(float).eps
 #: most Newton steps that polish the direct solve
 _NEWTON_STEPS = 3
 
@@ -229,12 +225,12 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     """
     n = w.n
     generator = generator_from_rates(w)
-    e = _exponent(generator)  # solve for g scaled exactly into [-1, 1]
+    e = binary_exponent(generator.m)  # solve for g scaled exactly to unit size
     g = np.ldexp(generator.m, -e)
     q = _ones_complement_basis(n)
     gq = q.T @ g @ q
     _, s, vt = np.linalg.svd(gq)
-    rank = int(np.count_nonzero(s > s[0] * s.size * _EPS))
+    rank = s.size - null_count(s)
     # Keep the zero-sum basis itself when the kernel is trivial.
     v = vt[:rank].T if rank < s.size else np.eye(rank)
     kernel = vt[rank:].T
@@ -247,7 +243,7 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
         for _ in range(_NEWTON_STEPS):
             c = n_eye + kv
             rv = gv - c @ xv
-            if np.linalg.norm(rv) <= _EPS * np.linalg.norm(c) * np.linalg.norm(xv):
+            if np.linalg.norm(rv) <= np.finfo(float).eps * np.linalg.norm(c) * np.linalg.norm(xv):
                 break
             u = _newton_update(c, xv, rv)
             xv, kv = xv + _sym(u), kv + _antisym(u)

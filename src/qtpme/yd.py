@@ -90,24 +90,20 @@ def yd_stationary(params: YDParams, k: float) -> ProbabilityVector:
 def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurve:
     """Sample the stationary occupations over a uniform arousal grid.
 
-    rho3 is evaluated through its closed form
-    a1*d*k / (d*e + a1*(d+e)*k + a1*f1*k^2); rho1 and rho2 through the
-    stationary solution.  rho3 vanishes at k = 0 and as k grows without
-    bound, which is the inverted-U shape.
+    The occupations are (de, a(e+f), ad) / (de + a(d+e+f)); rho3 vanishes
+    at k = 0 and as k grows without bound, which is the inverted-U shape.
     """
     if not (0.0 <= k_min < k_max):
         raise ValidationError(f"need 0 <= k_min < k_max, got ({k_min}, {k_max})")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
     k_grid = np.linspace(k_min, k_max, steps)
-    num1, num2, _, denom = _stationary_parts(params, k_grid)
+    num1, num2, num3, denom = _stationary_parts(params, k_grid)
     if denom.min() <= 0.0:
         raise DegenerateDenominator(
             "stationary denominator vanishes somewhere on the arousal grid"
         )
-    a1, f1, d, e = params.a1, params.f1, params.d, params.e
-    rho3 = a1 * d * k_grid / (d * e + a1 * (d + e) * k_grid + a1 * f1 * k_grid**2)
-    return YDCurve(k_grid=k_grid, rho1=num1 / denom, rho2=num2 / denom, rho3=rho3)
+    return YDCurve(k_grid=k_grid, rho1=num1 / denom, rho2=num2 / denom, rho3=num3 / denom)
 
 
 def yd_optimal_arousal(params: YDParams) -> float:

@@ -18,9 +18,12 @@ from make_golden import CASES
 
 
 def run_cli(*args):
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "qtpme", *args], capture_output=True, text=True
     )
+    # numpy's RuntimeWarnings (and any other Python warning) never reach stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    return proc
 
 
 def test_help_exits_zero():
@@ -347,3 +350,84 @@ def test_yd_curve_header_and_normalization():
     assert lines[0] == "k,rho1,rho2,rho3"
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert np.abs(rows[:, 1:].sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def rates_file(tmp_path, rates, name="rates.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"rates": np.asarray(rates, dtype=float).tolist()}),
+                    encoding="utf-8")
+    return path
+
+
+def assert_error_lines(proc, code, error):
+    """Exit code ``code`` and a stderr of exactly the two error lines."""
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    first, second = proc.stderr.splitlines()
+    assert first.startswith("error: ")
+    assert json.loads(second)["error"] == error
+    return first
+
+
+def test_structure_does_not_depend_on_the_time_unit(tmp_path):
+    rates = np.array([[0, 2, 1], [1, 0, 1], [3, 1, 0]], dtype=float)
+    for c in (1.0, 1e-20):
+        proc = run_cli("structure", "--rates", str(rates_file(tmp_path, c * rates)))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert not (doc["symmetric"] or doc["doubly_stochastic"] or doc["detailed_balance"])
+        assert doc["stationary"] == pytest.approx([0.25, 0.25, 0.5], abs=1e-12)
+
+
+def test_classify_does_not_underflow(tmp_path):
+    rates = json.loads((DATA / "rates_126.json").read_text(encoding="utf-8"))["rates"]
+    for c in (1e-170, 1e-300):
+        proc = run_cli("classify", "--rates", str(rates_file(tmp_path, c * np.array(rates))))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["class"] == "M"
+
+
+@pytest.mark.parametrize("rates, gap", [
+    # 13 decades apart: eigenvalues 0, -3.0 and -2e13
+    ([[0, 1e13, 1], [1e13, 0, 1], [1, 1, 0]], 3.0),
+    # two 2-cycles joined one way at 1e-12: the slowest mode is -1.1e-12
+    ([[0, 1, 0, 1e-12], [1, 0, 0, 0], [0, 1e-12, 0, 2], [0, 0, 3, 0]], 1.1e-12),
+])
+def test_one_rank_rule_for_spectrum_decompose_and_structure(tmp_path, rates, gap):
+    path = str(rates_file(tmp_path, rates))
+    proc = run_cli("spectrum", "--rates", path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["null_dim"] == 1
+    assert doc["gap"] == pytest.approx(gap, rel=1e-3)
+    assert run_cli("decompose", "--rates", path).returncode == 0
+    # the stationary state's error bound exceeds its certificate: exit 2
+    first = assert_error_lines(run_cli("structure", "--rates", path), 2, "NonUniqueStationary")
+    assert "error bound" in first and "2.2e-4" in first
+    assert "reducible" not in first
+
+
+def test_decompose_closed_form_near_the_float_limit(tmp_path):
+    # xi = a+...+f overflows unless formed at unit size
+    rates = [[0, 3.1e307, 3.1e307], [3.1e307, 0, 3.1e307], [3.1e307, 3.0e307, 0]]
+    proc = run_cli("decompose", "--rates", str(rates_file(tmp_path, rates)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert 0.0 <= doc["residual"] <= 1e-8 * 1.3e308
+    assert doc["r"] == pytest.approx(-0.2 / 37, rel=1e-12)
+
+
+def test_overflow_prints_only_the_error_lines(tmp_path):
+    simulate = ["--p0", "1,0,0", "--t-end", "1", "--steps", "4", "--method", "rk4"]
+    # huge real and complex eigenvalues: the RK4 amplification overflows
+    for rates in ([[0, 1e200, 1], [1e200, 0, 1], [1, 1, 0]],
+                  [[0, 0, 1e200], [1e200, 0, 0], [0, 1e200, 0]]):
+        proc = run_cli("simulate", "--rates", str(rates_file(tmp_path, rates)), *simulate)
+        first = assert_error_lines(proc, 2, "UnstableStep")
+        assert "amplification factor inf" in first
+    # a column sum that overflows
+    path = str(rates_file(tmp_path, [[0, 1, 1, 1], [1e308, 0, 1, 1],
+                                     [1e308, 1, 0, 1], [1, 1, 1, 0]]))
+    for command in ("decompose", "spectrum", "structure"):
+        assert_error_lines(run_cli(command, "--rates", path), 1, "ValidationError")

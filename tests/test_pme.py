@@ -204,3 +204,15 @@ def test_detailed_balance_implies_real_spectrum(rng):
         assert report.detailed_balance
         info = spectrum(generator_from_rates(w))
         assert np.abs(info.eigenvalues.imag).max() <= 1e-9
+
+
+def test_stationary_certificate_refuses_an_uncertified_null_vector():
+    # one kernel vector under the rank rule, but s[-2] <= 1e-12*n*s[0]: the
+    # lstsq null vector's error bound n*eps*s[0]/s[-2] is above 2.2e-4
+    g = generator_from_rates(validate_rates([[0, 1e13, 1], [1e13, 0, 1], [1, 1, 0]]))
+    assert kernel_dimension(g) == 1
+    with pytest.raises(NonUniqueStationary) as exc:
+        stationary_distribution(g)
+    assert exc.value.null_dim == 1
+    assert exc.value.error_bound > 2.2e-4
+    assert "reducible" not in str(exc.value)
