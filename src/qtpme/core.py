@@ -147,8 +147,8 @@ class Generator:
 
     def __post_init__(self):
         arr = np.asarray(self.m, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise BadShape(f"generator must be square, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+            raise BadShape(f"generator must be square with N >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             # finite rates can still overflow a diagonal column sum
             raise ValidationError("generator has non-finite entries")
@@ -157,12 +157,13 @@ class Generator:
             raise ValidationError("generator has a negative off-diagonal entry")
         if np.diag(arr).max() > 0.0:
             raise ValidationError("generator has a positive diagonal entry")
-        col_sums = arr.sum(axis=0)
-        if np.abs(col_sums).max() > 1e-12 * np.abs(arr).max():
-            raise ValidationError(
-                f"generator columns do not sum to zero (max |sum| = {np.abs(col_sums).max():.3e})"
-            )
-        object.__setattr__(self, "m", _frozen_array(arr))
+        with np.errstate(over="ignore"):  # an overflowed sum fails the check
+            off_sums = off.sum(axis=0)
+        worst = np.abs(np.diag(arr) + off_sums).max()
+        if not worst <= 1e-12 * np.abs(arr).max():
+            raise ValidationError(f"generator columns do not sum to zero (max |sum| = {worst:.3e})")
+        np.fill_diagonal(off, -off_sums)  # rebuilt: the exact kernel stays within the rank rule
+        object.__setattr__(self, "m", _frozen_array(off))
 
     @property
     def n(self) -> int:
@@ -202,9 +203,11 @@ class QuadraticEntropy:
         return QuadraticEntropy(self.sigma - shift * np.ones((self.n, self.n)))
 
 
-def binary_exponent(a) -> int:
-    """Exponent e with max|a| / 2**e in [1, 2) for nonzero a: ``np.ldexp(a, -e)`` is exact."""
-    return int(np.frexp(np.abs(a).max())[1]) - 1
+def unit_scaled(a) -> tuple[np.ndarray, int]:
+    """``(a / 2**e, e)`` with max|a| / 2**e in [1, 2); exact unless an entry
+    falls 2**1022 or more below the largest.  All-zero input gives e = -1."""
+    e = int(np.frexp(np.abs(a).max())[1]) - 1
+    return np.ldexp(a, -e), e
 
 
 def null_count(s) -> int:
@@ -342,8 +345,7 @@ def generator_from_rates(w: RateMatrix) -> Generator:
     sum of its column's off-diagonal entries, so columns sum to zero and
     total probability is conserved by ``dp/dt = m @ p``.
     """
-    m = np.array(w.w, dtype=float)
-    np.fill_diagonal(m, 0.0)
+    m = np.array(w.w, dtype=float)  # the diagonal of w is zero
     with np.errstate(over="ignore"):  # an overflowed sum is rejected by Generator
         np.fill_diagonal(m, -m.sum(axis=0))
     return Generator(m)

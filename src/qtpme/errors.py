@@ -56,15 +56,9 @@ class SolverError(QtpmeError):
 
 
 class NonUniqueStationary(SolverError):
-    def __init__(self, null_dim, error_bound=None):
+    def __init__(self, null_dim, message):
         self.null_dim = null_dim
-        self.error_bound = error_bound
-        super().__init__(
-            f"stationary state is not unique (kernel dimension {null_dim}); "
-            "the chain is reducible at working precision" if error_bound is None else
-            f"stationary state is not certified: its forward error bound "
-            f"n*eps*s[0]/s[-2] = {error_bound:.3e} exceeds 2.2e-4"
-        )
+        super().__init__(message)
 
 
 class UnstableStep(SolverError):

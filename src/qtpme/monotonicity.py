@@ -21,7 +21,7 @@ from .core import (
     RelaxationKind,
     UVWCoordinates,
     _frozen_array,
-    binary_exponent,
+    unit_scaled,
 )
 from .errors import BadAxis, BadShape, ValidationError
 
@@ -95,8 +95,8 @@ def discriminant(w: RateMatrix) -> RelaxationClass:
     """
     if w.n != 3:
         raise BadShape(f"expected N=3, got N={w.n}")
-    e = binary_exponent(w.coeffs)
-    disc, xi, q = discriminant_values(*np.ldexp(w.coeffs, -e))
+    coeffs, e = unit_scaled(w.coeffs)
+    disc, xi, q = discriminant_values(*coeffs)
     code = str(classify_discriminant(disc, xi))
     disc, xi, q = _unscaled([disc, xi, q], [2 * e, e, 2 * e])
     return RelaxationClass(
@@ -174,9 +174,10 @@ def sweep(
     # The fixed coefficients stay scalars and the axes broadcast, so only
     # the formula's intermediates, at unit size, take the full grid shape.
     values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
-    e = binary_exponent(list(values.values()))
-    values[axis1], values[axis2] = grid1[:, None], grid2[None, :]
-    disc, xi, _ = discriminant_values(*(np.ldexp(values[name], -e) for name in COEFF_NAMES))
+    scaled, e = unit_scaled([values[name] for name in COEFF_NAMES])
+    values = dict(zip(COEFF_NAMES, scaled))
+    values[axis1], values[axis2] = np.ldexp(grid1, -e)[:, None], np.ldexp(grid2, -e)[None, :]
+    disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
     classes = classify_discriminant(disc, xi)
     disc = _unscaled(disc, 2 * e)
 

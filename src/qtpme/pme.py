@@ -11,16 +11,16 @@ from .core import (
     ProbabilityVector,
     RateMatrix,
     SpectralInfo,
-    binary_exponent,
     generator_from_rates,
     null_count,
+    unit_scaled,
 )
 from .errors import NonUniqueStationary, ValidationError
 
 #: relative tolerance for the structural flags
 STRUCTURE_RTOL = 1e-12
-#: the stationary state is certified only while s[-2] > STATIONARY_RTOL*n*s[0]
-STATIONARY_RTOL = 1e-12
+#: largest forward error bound n*eps*s[0]/s[-2] a stationary state may carry
+STATIONARY_BOUND = np.finfo(float).eps / 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,32 +39,38 @@ class StructureReport:
     null_dim: int
 
 
+def scaled_singular_values(g: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The generator scaled exactly to unit size, and its singular values."""
+    m, _ = unit_scaled(g.m)
+    return m, np.linalg.svd(m, compute_uv=False)
+
+
 def kernel_dimension(g: Generator) -> int:
     """Numerical kernel dimension of the generator under :func:`null_count`."""
-    return null_count(np.linalg.svd(np.ldexp(g.m, -binary_exponent(g.m)), compute_uv=False))
+    return null_count(scaled_singular_values(g)[1])
 
 
 def stationary_distribution(g: Generator) -> ProbabilityVector:
     """Unique stationary probability vector of an ergodic generator.
 
-    Solves the null space of the generator scaled exactly to unit size with
-    the normalization row appended (least squares on ``[m*2**-e; 1'] p =
-    [0; 1]``), then clamps sub-tolerance negative drift to zero.
+    Solves the null space of the unit-scaled generator with the normalization
+    row appended (least squares on ``[m*2**-e; 1'] p = [0; 1]``), then clamps
+    sub-tolerance negative drift to zero.
 
     Raises
     ------
     NonUniqueStationary
-        If the zero eigenvalue is degenerate (reducible chain) or the null
-        vector's forward error bound ``n*eps*s[0]/s[-2]`` reaches 2.2e-4;
-        callers must not treat such a chain as ergodic.
+        If the zero eigenvalue is degenerate (reducible chain) or its null
+        vector is not certified; callers must not treat such a chain as ergodic.
     """
-    m = np.ldexp(g.m, -binary_exponent(g.m))
-    s = np.linalg.svd(m, compute_uv=False)
+    m, s = scaled_singular_values(g)
     null_dim = null_count(s)
     if null_dim != 1:
-        raise NonUniqueStationary(null_dim)
-    if s[-2] <= STATIONARY_RTOL * g.n * s[0]:
-        raise NonUniqueStationary(null_dim, g.n * np.finfo(float).eps * s[0] / s[-2])
+        raise NonUniqueStationary(null_dim, f"stationary state is not unique: kernel dimension {null_dim}")
+    bound = g.n * np.finfo(float).eps * s[0] / s[-2]
+    if bound >= STATIONARY_BOUND:
+        raise NonUniqueStationary(null_dim, f"stationary state is not certified: its forward error bound "
+                                  f"n*eps*s[0]/s[-2] = {bound:.3e} exceeds {STATIONARY_BOUND:.1e}")
     aug = np.vstack([m, np.ones(g.n)])
     rhs = np.zeros(g.n + 1)
     rhs[-1] = 1.0
@@ -110,7 +116,7 @@ def classify_structure(w: RateMatrix) -> StructureReport:
     ``p[m] w[n, m]``).  Propagates :class:`NonUniqueStationary` from the
     stationary solve.
     """
-    arr = np.ldexp(w.w, -binary_exponent(w.w))  # exact; sums cannot overflow
+    arr, _ = unit_scaled(w.w)  # sums cannot overflow at unit size
     scale = float(np.abs(arr).max())
     symmetric = bool(np.abs(arr - arr.T).max() <= STRUCTURE_RTOL * scale)
     row_sums = arr.sum(axis=1)

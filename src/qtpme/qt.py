@@ -30,9 +30,9 @@ from .core import (
     QTDecomposition,
     QuadraticEntropy,
     RateMatrix,
-    binary_exponent,
     generator_from_rates,
     null_count,
+    unit_scaled,
 )
 from .errors import BadShape, DegenerateRatesWarning, NoConvergence, ValidationError
 
@@ -50,25 +50,24 @@ def qt_vector_field(qt: QTDecomposition, p) -> np.ndarray:
     return qt.linear_operator() @ (qt.entropy.sigma @ p)
 
 
-def _frobenius(a: np.ndarray, g: Generator) -> float:
-    """Frobenius norm of ``a``, taken on ``a`` scaled by the exponent of g so
-    that no entry of the order of g overflows when squared."""
-    e = binary_exponent(g.m)
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, taken at unit size so that no square overflows."""
+    scaled, e = unit_scaled(a)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+        return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 def reconstruction_residual(qt: QTDecomposition, g: Generator) -> float:
     """Frobenius norm of (n*P + K) sigma - m."""
     if g.n != qt.n:
         raise BadShape(f"generator dimension {g.n} does not match decomposition {qt.n}")
-    return _frobenius(qt.linear_operator() @ qt.entropy.sigma - g.m, g)
+    return _frobenius(qt.linear_operator() @ qt.entropy.sigma - g.m)
 
 
 def _certified(g: Generator, sigma, k_mat, r, tol=1e-8, steps=0) -> QTDecomposition:
     """Decomposition (sigma, k_mat, r) of g, certified: ValidationError if
     |G|_F overflows, NoConvergence if the residual exceeds tol * |G|_F."""
-    g_norm = _frobenius(g.m, g)
+    g_norm = _frobenius(g.m)
     if g_norm == np.inf:
         raise ValidationError("generator norm overflows the float range")
     entropy = QuadraticEntropy(sigma)
@@ -104,8 +103,7 @@ def decompose_3state(w: RateMatrix) -> QTDecomposition:
     if w.n != 3:
         raise BadShape(f"expected N=3, got N={w.n}")
     g = generator_from_rates(w)
-    k = binary_exponent(w.coeffs)  # solve at unit size: xi cannot overflow
-    a, b, c, d, e, f = np.ldexp(w.coeffs, -k)
+    (a, b, c, d, e, f), k = unit_scaled(w.coeffs)  # at unit size xi cannot overflow
     xi = a + b + c + d + e + f
     if xi == 0.0:
         warnings.warn(
@@ -225,8 +223,7 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     """
     n = w.n
     generator = generator_from_rates(w)
-    e = binary_exponent(generator.m)  # solve for g scaled exactly to unit size
-    g = np.ldexp(generator.m, -e)
+    g, e = unit_scaled(generator.m)  # solve for g scaled exactly to unit size
     q = _ones_complement_basis(n)
     gq = q.T @ g @ q
     _, s, vt = np.linalg.svd(gq)

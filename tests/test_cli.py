@@ -403,7 +403,7 @@ def test_one_rank_rule_for_spectrum_decompose_and_structure(tmp_path, rates, gap
     assert run_cli("decompose", "--rates", path).returncode == 0
     # the stationary state's error bound exceeds its certificate: exit 2
     first = assert_error_lines(run_cli("structure", "--rates", path), 2, "NonUniqueStationary")
-    assert "error bound" in first and "2.2e-4" in first
+    assert "error bound" in first and "2.2e-04" in first
     assert "reducible" not in first
 
 

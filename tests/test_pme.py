@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtpme import (
+    Generator,
     RateMatrix,
     classify_structure,
     generator_from_rates,
@@ -11,7 +12,7 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
-from qtpme.errors import NonUniqueStationary
+from qtpme.errors import BadShape, NonUniqueStationary
 from qtpme.monotonicity import discriminant
 from qtpme.pme import kernel_dimension
 
@@ -214,5 +215,20 @@ def test_stationary_certificate_refuses_an_uncertified_null_vector():
     with pytest.raises(NonUniqueStationary) as exc:
         stationary_distribution(g)
     assert exc.value.null_dim == 1
-    assert exc.value.error_bound > 2.2e-4
+    assert "forward error bound" in str(exc.value)
     assert "reducible" not in str(exc.value)
+
+
+def test_generator_rebuilds_its_diagonal_from_the_rates():
+    # columns off zero by 1e-13 pass validation; the rebuilt diagonal keeps
+    # the exact kernel, so the chain is irreducible with a unique state
+    g = Generator([[-1.0, 1.0], [1.0, -1.0 + 1e-13]])
+    assert np.array_equal(g.m, [[-1.0, 1.0], [1.0, -1.0]])
+    assert kernel_dimension(g) == 1
+    assert spectrum(g).gap == pytest.approx(2.0, rel=1e-12)
+    assert np.allclose(stationary_distribution(g).entries, [0.5, 0.5], rtol=0, atol=1e-15)
+
+
+def test_generator_needs_two_states():
+    with pytest.raises(BadShape):
+        Generator([[0.0]])
