@@ -335,7 +335,11 @@ def validate_rates(raw) -> RateMatrix:
     BadShape, NegativeRate, NonzeroDiagonal
         Offending indices are reported 1-based.
     """
-    return RateMatrix(np.array(raw, dtype=float))
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadShape(f"rates must be a square array of numbers: {exc}") from exc
+    return RateMatrix(arr)
 
 
 def generator_from_rates(w: RateMatrix) -> Generator:
@@ -359,15 +363,25 @@ def rate_matrix_to_json(w: RateMatrix) -> dict:
 def rate_matrix_from_json(obj) -> RateMatrix:
     """Parse the documented rate-matrix schema.
 
-    ``rates`` rows are destinations, the diagonal must be zero, and the
-    optional ``n`` must match the array shape.  Values are read as IEEE
-    doubles.
+    ``rates`` is a list of rows of JSON numbers (``true``/``false`` are not
+    rates), rows are destinations, the diagonal must be zero, and the
+    optional ``n`` must be a JSON integer matching the array shape.  Values
+    are read as IEEE doubles.
     """
     if not isinstance(obj, dict):
         raise BadShape("rate-matrix document must be a JSON object")
     if "rates" not in obj:
         raise BadShape('rate-matrix document is missing the "rates" key')
-    w = validate_rates(obj["rates"])
-    if "n" in obj and int(obj["n"]) != w.n:
-        raise BadShape(f'declared "n" = {obj["n"]} does not match rates shape {w.n}')
+    rates = obj["rates"]
+    # bool is a subclass of int, but a JSON true/false is not a number
+    if not (isinstance(rates, list) and all(isinstance(row, list) for row in rates)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for row in rates for x in row)):
+        raise BadShape('"rates" must be a list of rows of numbers (not true/false)')
+    w = validate_rates(rates)
+    n = obj.get("n", w.n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise BadShape(f'declared "n" = {n!r} is not an integer')
+    if n != w.n:
+        raise BadShape(f'declared "n" = {n} does not match rates shape {w.n}')
     return w

@@ -84,13 +84,17 @@ def integrate(
     :func:`_step_matrix`), which needs no spectrum and so works alike for
     defective, boundary-class and stiff generators; state ``k`` is
     ``T^k p0``, built by doubling.  ``Method.RK4`` takes fixed classical
-    Runge-Kutta steps.  Neither renormalizes the state: sum drift is
-    reported by the trajectory invariant, not repaired.
+    Runge-Kutta steps: one step is the stability polynomial ``R(h*m)``
+    (see :func:`_taylor`), applied by the same doubling.  Neither
+    renormalizes the state: sum drift is reported by the trajectory
+    invariant, not repaired.
 
     Raises
     ------
     ValidationError
-        In RK4 mode when an eigenvalue of the generator overflows.
+        When ``t_end`` is not finite and positive, or ``t_end/steps`` is
+        too small to give strictly increasing times; in RK4 mode when an
+        eigenvalue of the generator overflows.
     UnstableStep
         In RK4 mode when the step lies outside the stability region for
         some generator eigenvalue; the error names the smallest stable
@@ -102,52 +106,57 @@ def integrate(
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if not t_end > 0.0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
+    if not (np.isfinite(t_end) and t_end > 0.0):
+        raise ValidationError(f"t_end (--t-end) must be finite and positive, got {t_end}")
     times = np.linspace(0.0, t_end, steps + 1)
-    p_start = np.asarray(p0.entries, dtype=float)
-    states = np.empty((steps + 1, g.n))
-    states[0] = p_start
-
+    if not np.all(np.diff(times) > 0.0):
+        raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
+                              "is too small to give strictly increasing times")
+    h = t_end / steps
     if method is Method.EXACT:
-        power = _step_matrix(g.m, t_end / steps)
-        # Rows [k, 2k) are rows [0, k) advanced by T^k; T^k then squares.
-        k = 1
-        while k <= steps:
-            count = min(k, steps + 1 - k)
-            states[k:k + count] = states[:count] @ power.T
-            power = _conserving(power @ power)
-            k *= 2
+        power, floor = _step_matrix(g.m, h), 0.0
     elif method is Method.RK4:
         _check_rk4_stability(eigenvalues(g), t_end, steps)
-        h = t_end / steps
-        m = g.m
-        p = p_start.copy()
-        for k in range(steps):
-            k1 = m @ p
-            k2 = m @ (p + 0.5 * h * k1)
-            k3 = m @ (p + 0.5 * h * k2)
-            k4 = m @ (p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = p
+        # On a linear system one RK4 step is its stability polynomial R(h*m),
+        # the degree-4 Taylor polynomial of exp(h*m); R need not be
+        # nonnegative even when stable, so its diagonal takes no floor.
+        power, floor = _taylor(h * g.m, 4), -np.inf
     else:
         raise ValidationError(f"unknown method {method!r}")
 
+    # Rows [k, 2k) are rows [0, k) advanced by T^k; T^k then squares.
+    states = np.empty((steps + 1, g.n))
+    states[0] = p0.entries
+    k = 1
+    while k <= steps:
+        power = _conserving(power, floor)
+        count = min(k, steps + 1 - k)
+        states[k:k + count] = states[:count] @ power.T
+        power = power @ power
+        k *= 2
     return Trajectory(times=times, states=states, method=method)
 
 
-def _conserving(t: np.ndarray) -> np.ndarray:
-    """Set each diagonal entry of a nonnegative transition matrix, in place,
-    to one minus the rest of its column, or to 0 where rounding puts the
-    rest above 1.
+def _conserving(t: np.ndarray, floor: float) -> np.ndarray:
+    """Set each diagonal entry of a transition matrix, in place, to one
+    minus the rest of its column, but not below ``floor``.
 
     The exact matrix has columns summing to exactly 1; without the reset
     the rounding error of the sums would double with every squaring.  The
-    floor at 0 keeps the matrix, and so every propagated state, entrywise
-    nonnegative.
+    floor 0 keeps ``exp(h*m)``, and so every state it propagates,
+    entrywise nonnegative.
     """
     np.fill_diagonal(t, 0.0)
-    np.fill_diagonal(t, np.maximum(1.0 - t.sum(axis=0), 0.0))
+    np.fill_diagonal(t, np.maximum(1.0 - t.sum(axis=0), floor))
+    return t
+
+
+def _taylor(a: np.ndarray, terms: int) -> np.ndarray:
+    """The Taylor polynomial of ``exp(a)`` of degree ``terms``, by Horner's rule."""
+    eye = np.eye(a.shape[0])
+    t = eye
+    for k in range(terms, 0, -1):
+        t = eye + (a @ t) / k
     return t
 
 
@@ -163,18 +172,14 @@ def _step_matrix(m: np.ndarray, h: float) -> np.ndarray:
     exponents of h and of the largest exit rate give s, so ``h * rate``
     is never formed and cannot overflow.
     """
-    eye = np.eye(m.shape[0])
     rate = float(-np.diag(m).min())
     s = max(int(np.frexp(h)[1] + np.frexp(rate)[1]), 0)
     scaled = float(np.ldexp(h, -s))
     c = scaled * rate
-    b = scaled * m + c * eye
-    t = eye
-    for k in range(_TAYLOR_TERMS, 0, -1):
-        t = eye + (b @ t) / k
-    t = _conserving(np.exp(-c) * t)
+    b = scaled * m + c * np.eye(m.shape[0])
+    t = _conserving(np.exp(-c) * _taylor(b, _TAYLOR_TERMS), 0.0)
     for _ in range(s):
-        t = _conserving(t @ t)
+        t = _conserving(t @ t, 0.0)
     return t
 
 

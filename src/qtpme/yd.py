@@ -93,8 +93,8 @@ def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurv
     The occupations are (de, a(e+f), ad) / (de + a(d+e+f)); rho3 vanishes
     at k = 0 and as k grows without bound, which is the inverted-U shape.
     """
-    if not (0.0 <= k_min < k_max):
-        raise ValidationError(f"need 0 <= k_min < k_max, got ({k_min}, {k_max})")
+    if not (0.0 <= k_min < k_max < np.inf):
+        raise ValidationError(f"need finite 0 <= k_min < k_max, got ({k_min}, {k_max})")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
     k_grid = np.linspace(k_min, k_max, steps)

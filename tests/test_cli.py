@@ -216,6 +216,43 @@ def test_simulate_unstable_rk4_step_is_solver_failure(tmp_path):
     assert rows[:, 1:].min() >= 0.0
 
 
+@pytest.mark.parametrize("t_end", ["inf", "5e-324"])
+def test_simulate_unusable_t_end_is_input_error(t_end):
+    # inf: no finite time span; 5e-324 over 8 steps: the step underflows to 0
+    for method in ("exact", "rk4"):
+        proc = run_cli("simulate", "--rates", str(DATA / "rates_cyclic.json"), "--p0", "1,0,0",
+                       "--t-end", t_end, "--steps", "8", "--method", method)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 2, proc.stderr
+        error_doc = json.loads(proc.stderr.splitlines()[-1])
+        assert error_doc["error"] == "ValidationError"
+        assert "--t-end" in error_doc["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param('{"rates": [[0, 1], [1]]}', id="ragged"),
+    pytest.param('{"rates": "x"}', id="string-rates"),
+    pytest.param('{"n": "abc", "rates": [[0, 1], [1, 0]]}', id="string-n"),
+    pytest.param('{"rates": [[0, true], [1, 0]]}', id="boolean-rate"),
+    pytest.param('{"n": 2.7, "rates": [[0, 1], [1, 0]]}', id="fractional-n"),
+])
+def test_malformed_rate_document_is_input_error(tmp_path, doc):
+    path = tmp_path / "rates.json"
+    path.write_text(doc, encoding="utf-8")
+    proc = run_cli("validate", "--rates", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "BadShape"
+
+
+@pytest.mark.parametrize("k_max", ["inf", "nan"])
+def test_yd_curve_non_finite_bound_is_input_error(k_max):
+    proc = run_cli("yd", "curve", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1",
+                   "--k-max", k_max)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
+
+
 def test_structure_reducible_chain_is_solver_failure(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text('{"rates": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}', encoding="utf-8")

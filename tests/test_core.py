@@ -184,3 +184,34 @@ def test_rate_matrix_json_rejects_mismatched_n():
         rate_matrix_from_json({"n": 4, "rates": [[0, 1], [1, 0]]})
     with pytest.raises(BadShape):
         rate_matrix_from_json({"n": 2})
+
+
+def test_rate_document_rejects_ragged_rates():
+    with pytest.raises(ValidationError, match="square array"):
+        rate_matrix_from_json({"rates": [[0, 1], [1]]})
+    with pytest.raises(ValidationError, match="square array"):
+        validate_rates([[0, 1], [1]])
+
+
+def test_rate_document_rejects_string_rates():
+    with pytest.raises(ValidationError, match="rows of numbers"):
+        rate_matrix_from_json({"rates": "x"})
+    with pytest.raises(ValidationError, match="square array"):
+        validate_rates("x")
+
+
+def test_rate_document_rejects_string_n():
+    with pytest.raises(ValidationError, match="not an integer"):
+        rate_matrix_from_json({"n": "abc", "rates": [[0, 1], [1, 0]]})
+
+
+def test_rate_document_rejects_boolean_rate():
+    # JSON true is not the rate 1.0
+    with pytest.raises(ValidationError, match="true/false"):
+        rate_matrix_from_json({"rates": [[0, True], [1, 0]]})
+
+
+def test_rate_document_rejects_fractional_n():
+    for n in (2.7, 2.0, True):
+        with pytest.raises(ValidationError, match="not an integer"):
+            rate_matrix_from_json({"n": n, "rates": [[0, 1], [1, 0]]})

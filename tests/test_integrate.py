@@ -1,4 +1,9 @@
+import json
 import math
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from qtpme import (
     generator_from_rates,
     integrate,
     monitor,
+    rate_matrix_from_json,
     stationary_distribution,
     validate_rates,
 )
@@ -21,6 +27,23 @@ from qtpme.errors import ProbabilityDrift, SolverError, UnstableStep, Validation
 from qtpme.integrate import Trajectory
 
 from conftest import random_probability, random_rate_matrix
+
+DATA = Path(__file__).parent / "data"
+
+
+def rk4_stagewise(m, p0, h, steps):
+    """The classical four-stage RK4 loop, one step at a time: the reference
+    for the one-step matrix that ``integrate`` applies by doubling."""
+    states = np.empty((steps + 1, p0.size))
+    states[0] = p = p0
+    for k in range(steps):
+        k1 = m @ p
+        k2 = m @ (p + 0.5 * h * k1)
+        k3 = m @ (p + 0.5 * h * k2)
+        k4 = m @ (p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = p
+    return states
 
 
 def test_two_state_closed_form_decay():
@@ -56,6 +79,60 @@ def test_exact_matches_rk4(rng):
         exact = integrate(g, p0, t_end=10.0, steps=10_000, method=Method.EXACT)
         rk4 = integrate(g, p0, t_end=10.0, steps=10_000, method=Method.RK4)
         assert np.abs(exact.states - rk4.states).max() <= 1e-6
+
+
+@pytest.mark.parametrize("steps", [10_000, 100_000])
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_rk4_matches_stagewise_loop(n, steps):
+    # rates over four decades put h*|lambda| up to 0.3 at 1e4 steps
+    rng = np.random.default_rng(n * steps)
+    rates = 10.0 ** rng.uniform(-2.0, 2.0, (n, n))
+    np.fill_diagonal(rates, 0.0)
+    g = generator_from_rates(validate_rates(rates))
+    p0 = random_probability(rng, n)
+    traj = integrate(g, ProbabilityVector(p0), t_end=10.0, steps=steps, method=Method.RK4)
+    assert np.abs(traj.states - rk4_stagewise(g.m, p0, 10.0 / steps, steps)).max() <= 1e-12
+
+
+def test_rk4_step_matrix_may_have_a_negative_diagonal():
+    # h = 1/5 is stable (|R(h*lambda)| = 0.95 off the zero eigenvalue), yet
+    # one RK4 step R has the diagonal entry -0.1664; the diagonal reset that
+    # keeps the columns of R^k summing to 1 must not floor it at 0
+    g = generator_from_rates(validate_rates([[0, 7, 0], [0, 0, 9], [8, 1, 0]]))
+    r = np.column_stack([rk4_stagewise(g.m, e, 0.2, 1)[1] for e in np.eye(3)])
+    assert r.diagonal().min() < -0.16
+    p0 = np.array([1.0, 0.0, 0.0])
+    traj = integrate(g, ProbabilityVector(p0), t_end=20.0, steps=100, method=Method.RK4)
+    assert np.abs(traj.states - rk4_stagewise(g.m, p0, 0.2, 100)).max() <= 1e-12
+
+
+def test_rk4_matches_exact_rational_recurrence():
+    # rates_cyclic with h = 1/8: every RK4 stage is a rational number, and the
+    # floats (the library's, and the golden CLI output's) lie within 1e-16
+    w = rate_matrix_from_json(json.loads((DATA / "rates_cyclic.json").read_text()))
+    g = generator_from_rates(w)
+    m = [[Fraction(x) for x in row] for row in g.m.tolist()]
+    h = Fraction(1, 8)
+
+    def deriv(p, k=None, c=0):
+        q = p if k is None else [x + c * y for x, y in zip(p, k)]
+        return [sum(a * x for a, x in zip(row, q)) for row in m]
+
+    p = [Fraction(1), Fraction(0), Fraction(0)]
+    exact = [p]
+    for _ in range(8):
+        k1 = deriv(p)
+        k2 = deriv(p, k1, h / 2)
+        k3 = deriv(p, k2, h / 2)
+        k4 = deriv(p, k3, h)
+        p = [x + h / 6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(p, k1, k2, k3, k4)]
+        exact.append(p)
+    traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0, 0.0])), t_end=1.0, steps=8,
+                     method=Method.RK4)
+    golden = np.loadtxt(DATA / "golden" / "simulate_rk4.csv", delimiter=",", skiprows=1)
+    for states in (traj.states, golden[:, 1:4]):
+        assert max(abs(Fraction(x) - y) for row, ex in zip(states.tolist(), exact)
+                   for x, y in zip(row, ex)) <= 1e-16
 
 
 def test_total_probability_conservation(rng):
@@ -190,6 +267,23 @@ def test_integrate_validates_arguments(rng):
         integrate(g, p0, t_end=0.0, steps=10)
     with pytest.raises(ValidationError):
         integrate(g, p0, t_end=1.0, steps=0)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("t_end, steps", [(math.inf, 8), (math.nan, 8), (5e-324, 8),
+                                          (1e-320, 10_000)])
+def test_integrate_rejects_unusable_time_steps(monkeypatch, method, t_end, steps):
+    # a non-finite t_end, or a step t_end/steps that leaves equal times, is an
+    # input error named as such, raised before any step matrix is built
+    g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0))
+    p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
+    module = sys.modules["qtpme.integrate"]
+    monkeypatch.setattr(module, "_taylor", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="t_end") as exc:
+            integrate(g, p0, t_end=t_end, steps=steps, method=method)
+    assert "--t-end" in str(exc.value)
 
 
 def test_monitor_totals_and_entropies(rng):

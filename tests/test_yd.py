@@ -91,6 +91,13 @@ def test_yd_curve_validation():
         yd_curve(YDParams(a1=1, f1=1, d=1, e=0), 0.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("k_min, k_max", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
+                                          (np.nan, 1.0)])
+def test_yd_curve_rejects_non_finite_arousal_bounds(k_min, k_max):
+    with pytest.raises(ValidationError, match="finite"):
+        yd_curve(YDParams(a1=1, f1=1, d=1, e=1), k_min, k_max, 10)
+
+
 def test_yd_optimal_arousal_values():
     assert yd_optimal_arousal(YDParams(a1=1, f1=1, d=1, e=1)) == 1.0
     assert yd_optimal_arousal(YDParams(a1=1, f1=1, d=4, e=1)) == 2.0
