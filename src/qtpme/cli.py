@@ -58,10 +58,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsageError(message)
 
 
-#: rows per formatted CSV block; bounds the memory of a streamed table
+#: rows per formatted CSV block, at most: a block of wide rows takes fewer
+#: (``csvtext._BLOCK_BYTES``); bounds the memory of a streamed table
 _CSV_BLOCK_ROWS = 4096
-#: CSV float format, 17 significant digits (round-trips every double)
-_CSV_FLOAT = "%.17g"
 
 
 def _load_rates(path: str) -> RateMatrix:
@@ -94,34 +93,18 @@ def _write(chunks, out_path: str | None) -> None:
             fh.close()
 
 
-def _csv_floats(values: np.ndarray) -> list[str]:
-    """CSV text of each float; + 0.0 folds IEEE negative zero into zero."""
-    return [_CSV_FLOAT % x for x in (values + 0.0).tolist()]
-
-
 def _csv_blocks(columns, lead: str = ""):
-    """Yield the CSV rows of equal-length 1-D columns, a block at a time.
+    """Yield the CSV rows of equal-length 1-D columns, a block of at most
+    ``_CSV_BLOCK_ROWS`` rows at a time, each row starting with ``lead``.
 
-    Float arrays print with 17 significant digits and negative zero folded
-    into zero; any other column (string arrays, lists of preformatted text)
-    prints as ``str``.  Every row starts with the fixed text ``lead``.  Each
-    block of ``_CSV_BLOCK_ROWS`` rows is formatted by one ``%`` over a flat
-    list of values, so no per-row Python code runs.
+    Floats print exactly as C ``%.17g`` with negative zero folded into
+    zero; other columns (bytes or str arrays, lists of text) print their
+    ASCII text.  See :mod:`qtpme.csvtext`, imported here, on first use, so
+    that commands writing no CSV do not load it.
     """
-    is_float = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
-    template = lead.replace("%", "%%") + ",".join(
-        _CSV_FLOAT if flag else "%s" for flag in is_float) + "\n"
-    width = len(columns)
-    rows = len(columns[0])
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, rows)
-        values = [None] * (width * (stop - start))
-        for index, (col, flag) in enumerate(zip(columns, is_float)):
-            part = col[start:stop]
-            if flag:
-                part = part + 0.0
-            values[index::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        yield (template * (stop - start)) % tuple(values)
+    from . import csvtext
+
+    return csvtext.blocks(columns, lead, _CSV_BLOCK_ROWS)
 
 
 def _json_doc(obj) -> str:
@@ -236,12 +219,19 @@ def _cmd_sweep(args) -> int:
     region = monotonicity.sweep(w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2))
 
     def blocks():
-        # Each grid value is formatted once: axis1 as the fixed start of its
-        # grid row, axis2 as preformatted text reused by every grid row.
-        text2 = _csv_floats(region.grid2)
-        rows = zip(_csv_floats(region.grid1), region.classes, region.discriminants)
-        for text1, classes, discs in rows:
-            yield from _csv_blocks([text2, classes, discs], lead=text1 + ",")
+        # Each axis value is formatted once, as fixed-width text; each call
+        # of _csv_blocks covers whole grid rows, about four blocks of them,
+        # so that its setup is paid once per four blocks.
+        from . import csvtext
+
+        text1, text2 = csvtext.float_text(region.grid1), csvtext.float_text(region.grid2)
+        step = max(1, 4 * _CSV_BLOCK_ROWS // text2.size)
+        for i in range(0, text1.size, step):
+            part = slice(i, i + step)
+            classes = region.classes[part].view(np.uint32).astype(np.uint8).view("S1")
+            yield from _csv_blocks([np.repeat(text1[part], text2.size),
+                                    np.tile(text2, text1[part].size),
+                                    classes.ravel(), region.discriminants[part].ravel()])
 
     _write(chain([f"{ax1},{ax2},class,D\n"], blocks()), args.out)
     return _EXIT_OK
@@ -255,8 +245,11 @@ def _cmd_yd_curve(args) -> int:
     params = _yd_params(args)
     k_max = args.k_max
     if k_max is None:
-        if params.a1 * params.f1 > 0.0:
+        if params.a1 > 0.0 and params.f1 > 0.0:
             k_max = 4.0 * yd.yd_optimal_arousal(params)
+            if k_max == np.inf:
+                raise ValidationError("the default --k-max, 4x the optimal arousal, "
+                                      "is outside the float range; give --k-max")
         else:
             k_max = 10.0
     curve = yd.yd_curve(params, args.k_min, k_max, args.steps)

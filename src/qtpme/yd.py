@@ -62,12 +62,54 @@ def yd_rates(params: YDParams, k: float) -> RateMatrix:
     return RateMatrix.from_coeffs(params.a1 * k, 0.0, 0.0, params.d, params.e, params.f1 * k)
 
 
+def _exponent(x: float) -> int:
+    """The exponent p of ``x = m * 2**p`` with m in [0.5, 1), so that
+    ``|x| < 2**p``; zero gets one far below every double, so a zero rate
+    never bounds a scale."""
+    m, p = math.frexp(x)
+    return p if m else -4096
+
+
 def _stationary_parts(params: YDParams, k):
-    a = params.a1 * k
-    f = params.f1 * k
-    d, e = params.d, params.e
-    denom = d * e + a * (d + e + f)
-    return d * e, a * (e + f), a * d, denom
+    """Numerators (de, a(e+f), ad) and denominator de + a(d+e+f) at arousal
+    k >= 0, with the four rates of each point scaled by one power of two.
+
+    The power 2**s is the largest for which no scaled rate and no product
+    of two reaches 2**1020, so no sum overflows, and small rates are lifted
+    as far as that allows: the denominator lies within a factor 4 of
+    2**1020, and a numerator whose ratio to it is a double at all is a
+    normal number.  Scaling by 2**s is exact wherever the values stay
+    normal, so the state is that of the unscaled rates to the last bit
+    whenever those neither over- nor underflow; only a rate some 2**2040
+    below the largest stays subnormal and keeps fewer bits.  s depends on
+    k only through its binary exponent, so it is tabulated once per
+    exponent field (field 0, zero and subnormals, as the smallest normal
+    binade).
+    """
+    k = np.asarray(k, dtype=np.float64)
+    pa1, pf1, pd, pe = (_exponent(r) for r in (params.a1, params.f1, params.d, params.e))
+    pde = max(pd, pe)
+    pk = np.arange(-1022, 1026)
+    top = np.maximum(pk + max(pa1, pf1), pde)
+    top_product = np.maximum(pd + pe, pk + pa1 + np.maximum(pk + pf1, pde))
+    scales = np.minimum(1020 - top, (1020 - top_product) // 2).astype(np.int32)
+    s = scales.take((k.view(np.int64) >> 52) & 0x7FF)
+    a = np.ldexp(k, s + pa1)
+    a *= math.frexp(params.a1)[0]
+    f = np.ldexp(k, s + pf1)
+    f *= math.frexp(params.f1)[0]
+    d, e = np.ldexp(float(params.d), s), np.ldexp(float(params.e), s)
+    de = d * e
+    # in place, in the order of de + a*(d + e + f), a*(e + f) and a*d, so
+    # the bytes match the plain expressions with fewer temporary arrays
+    denom = d + e
+    denom += f
+    denom *= a
+    denom += de
+    f += e
+    f *= a
+    d *= a
+    return de, f, d, denom
 
 
 def yd_stationary(params: YDParams, k: float) -> ProbabilityVector:
@@ -82,7 +124,7 @@ def yd_stationary(params: YDParams, k: float) -> ProbabilityVector:
     num1, num2, num3, denom = _stationary_parts(params, k)
     if denom <= 0.0:
         raise DegenerateDenominator(
-            f"stationary denominator de + a(d+e+f) = {denom!r}; no unique stationary state"
+            f"stationary denominator de + a(d+e+f) = {float(denom)!r}; no unique stationary state"
         )
     return ProbabilityVector(np.array([num1, num2, num3]) / denom)
 
@@ -106,18 +148,54 @@ def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurv
     return YDCurve(k_grid=k_grid, rho1=num1 / denom, rho2=num2 / denom, rho3=num3 / denom)
 
 
+def _product(x: float, y: float) -> tuple[float, int]:
+    """``x*y`` as ``(m, p)`` with ``x*y = m * 2**p``: the rounded product,
+    scaled exactly by a power of two so that it neither overflows nor
+    underflows."""
+    mx, px = math.frexp(x)
+    my, py = math.frexp(y)
+    return mx * my, px + py
+
+
+def _sqrt(m: float, p: int) -> tuple[float, int]:
+    """``sqrt(m * 2**p)`` as ``(r, q)`` with the root ``r * 2**q``; the
+    square root is taken at the even power ``2**(2q)``, so it is exact
+    scaling of the rounded root."""
+    q, odd = divmod(p, 2)
+    return math.sqrt(math.ldexp(m, odd)), q
+
+
+def _ldexp(x: float, p: int) -> float:
+    """``x * 2**p``, infinite where that overflows."""
+    try:
+        return math.ldexp(x, p)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _as_float(m: float, p: int, what: str) -> float:
+    """``m * 2**p``; ValidationError when that is outside the float range."""
+    value = _ldexp(m, p)
+    if m != 0.0 and not 0.0 < abs(value) < math.inf:
+        raise ValidationError(f"{what} = {m!r} * 2**{p} is outside the float range")
+    return value
+
+
 def yd_optimal_arousal(params: YDParams) -> float:
     """Arousal maximizing the well-trained occupation: sqrt(d*e / (a1*f1)).
 
     Raises :class:`ZeroRateProduct` when a1*f1 = 0, in which case the
-    curve is monotone and has no interior maximum.
+    curve is monotone and has no interior maximum.  The products are
+    formed with exact power-of-two scaling, so only an optimum outside the
+    float range is an error (:class:`ValidationError`).
     """
-    product = params.a1 * params.f1
-    if product == 0.0:
+    if params.a1 == 0.0 or params.f1 == 0.0:
         raise ZeroRateProduct(
             f"a1*f1 = 0 (a1={params.a1}, f1={params.f1}); rho3(k) has no interior maximum"
         )
-    return math.sqrt(params.d * params.e / product)
+    de, de_exp = _product(params.d, params.e)
+    af, af_exp = _product(params.a1, params.f1)
+    return _as_float(*_sqrt(de / af, de_exp - af_exp), "optimal arousal sqrt(d*e / (a1*f1))")
 
 
 @dataclass(frozen=True)
@@ -137,21 +215,30 @@ def yd_consistency(params: YDParams, tol: float = 1e-9) -> ConsistencyReport:
     The condition holds exactly when the rate-sum imbalance
     omega = (a + d + e) - f vanishes at optimal arousal, which also rules
     out oscillatory relaxation there.  The two formulations are
-    cross-checked against each other to ``tol``.
+    cross-checked against each other to ``tol``, in units of sqrt(de).
+    Both sides are ratios of rates, formed with exact power-of-two scaling
+    so that no product over- or underflows; a result outside the float
+    range is a :class:`ValidationError`.
     """
-    de = params.d * params.e
-    product = params.a1 * params.f1
-    if de <= 0.0 or product <= 0.0:
+    a1, f1, d, e = params.a1, params.f1, params.d, params.e
+    if not (d > 0.0 and e > 0.0 and a1 > 0.0 and f1 > 0.0):
         raise DomainError(
-            f"consistency condition needs d*e > 0 and a1*f1 > 0 (d*e={de}, a1*f1={product})"
+            f"consistency condition needs d*e > 0 and a1*f1 > 0 (d={d}, e={e}, a1={a1}, f1={f1})"
         )
-    lhs = (params.d + params.e) / math.sqrt(de)
-    rhs = (params.f1 - params.a1) / math.sqrt(product)
+    root_de, de_exp = _sqrt(*_product(d, e))
+    root_af, af_exp = _sqrt(*_product(a1, f1))
+    lhs = (_ldexp(d, -de_exp) + _ldexp(e, -de_exp)) / root_de
+    rhs = (_ldexp(f1, -af_exp) - _ldexp(a1, -af_exp)) / root_af
     k_opt = yd_optimal_arousal(params)
-    omega = (params.a1 * k_opt + params.d + params.e) - params.f1 * k_opt
+    omega = (a1 * k_opt + d + e) - f1 * k_opt
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(omega)):
+        raise ValidationError(
+            f"consistency terms overflow a double (lhs={lhs}, rhs={rhs}, omega={omega})"
+        )
     scale = max(1.0, abs(lhs), abs(rhs))
-    mismatch = abs(omega - math.sqrt(de) * (lhs - rhs))
-    if mismatch > tol * scale:
+    sqrt_de = math.ldexp(root_de, de_exp)
+    mismatch = abs(omega - sqrt_de * (lhs - rhs))
+    if mismatch > tol * scale * sqrt_de:
         raise QtpmeError(
             f"internal cross-check failed: omega(k_opt) differs from "
             f"sqrt(de)*(lhs-rhs) by {mismatch:.3e}"

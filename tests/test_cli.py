@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -468,3 +469,79 @@ def test_overflow_prints_only_the_error_lines(tmp_path):
                                      [1e308, 1, 0, 1], [1, 1, 1, 0]]))
     for command in ("decompose", "spectrum", "structure"):
         assert_error_lines(run_cli(command, "--rates", path), 1, "ValidationError")
+
+
+def test_cli_import_builds_no_csv_tables():
+    # the formatter's lookup tables are built by the first CSV call
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qtpme.cli, qtpme.csvtext as c; print(c._tables.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def yd_rows(proc):
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "k,rho1,rho2,rho3"
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+def test_yd_curve_huge_arousal_rows_stay_finite():
+    # a1*k*(d+e+f) overflowed at k near 1e308 and printed rho2 as nan
+    rows = yd_rows(run_cli("yd", "curve", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1",
+                           "--k-max", "1e308", "--steps", "3"))
+    assert np.isfinite(rows).all()
+    assert np.abs(rows[:, 1:].sum(axis=1) - 1.0).max() <= 1e-12
+    assert rows[2].tolist() == [1e308, 0.0, 1.0, 1e-308]
+
+
+def test_yd_optimal_with_underflowing_rate_product():
+    # a1*f1 = 1e-400 underflows, but the optimum sqrt(d*e/(a1*f1)) is 1e200
+    proc = run_cli("yd", "optimal", "--a1", "1e-200", "--f1", "1e-200", "--d", "1", "--e", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == 1e200
+
+
+def test_yd_curve_default_range_with_underflowing_rate_product():
+    # the default k_max is 4x the optimum, not the fallback 10
+    rows = yd_rows(run_cli("yd", "curve", "--a1", "1e-200", "--f1", "1e-200", "--d", "1",
+                           "--e", "1", "--steps", "3"))
+    assert rows[:, 0].tolist() == [0.0, 2e200, 4e200]
+    assert rows[1, 1:] == pytest.approx([1 / 9, 2 / 3, 2 / 9], rel=1e-15)
+
+
+def test_yd_check_with_underflowing_rate_product():
+    proc = run_cli("yd", "check", "--a1", "1e-200", "--f1", "3e-200", "--d", "1", "--e", "1")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["lhs"] == 2.0
+    assert doc["rhs"] == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+    assert doc["omega_at_kopt"] == pytest.approx(2 - 2 / math.sqrt(3), rel=1e-14)
+    assert doc["satisfied"] is False
+
+
+def test_yd_check_with_overflowing_rate_products():
+    # d*e = 1e400 overflowed and printed omega_at_kopt as NaN
+    rates = ["--a1", "1e200", "--f1", "1e200", "--d", "1e200", "--e", "1e200"]
+    proc = run_cli("yd", "check", *rates)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"lhs": 2.0, "rhs": 0.0, "satisfied": False,
+                                       "omega_at_kopt": 2e200}
+
+
+def test_yd_curve_default_range_outside_the_float_range_is_input_error():
+    # the optimum, 1e308, is a double; the default k_max, 4e308, is not
+    rates = ["--a1", "1e-154", "--f1", "1e-154", "--d", "1e154", "--e", "1e154"]
+    first = assert_error_lines(run_cli("yd", "curve", *rates), 1, "ValidationError")
+    assert "give --k-max" in first
+    assert run_cli("yd", "curve", *rates, "--k-max", "1e308").returncode == 0
+
+
+def test_yd_optimum_outside_the_float_range_is_input_error():
+    rates = ["--a1", "1e-300", "--f1", "1e-300", "--d", "1e300", "--e", "1e300"]
+    for command in ("optimal", "check", "curve"):
+        first = assert_error_lines(run_cli("yd", command, *rates), 1, "ValidationError")
+        assert "outside the float range" in first

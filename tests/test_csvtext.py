@@ -1,0 +1,77 @@
+"""The vectorised CSV float text is byte-for-byte C ``%.17g``."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from qtpme import cli
+
+
+def written(columns, lead=""):
+    return "".join(cli._csv_blocks(columns, lead=lead))
+
+
+def reference(columns, lead=""):
+    return "".join(
+        lead + ",".join(format(x + 0.0, ".17g") for x in row) + "\n"
+        for row in zip(*(col.tolist() for col in columns)))
+
+
+def as_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_any_64_bit_pattern_prints_as_percent_17g(bits):
+    # every double: subnormals, NaN payloads and signalling NaNs included
+    x = as_floats(bits)
+    columns = [x, x[::-1].copy()]
+    assert written(columns).splitlines() == reference(columns).splitlines()
+
+
+def powers_of_ten_and_neighbours():
+    values = []
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    return values
+
+
+EDGES = [
+    # the fixed/scientific boundaries at X = -5/-4 and 16/17
+    1e-5, 9.9999999999999991e-06, 1.0000000000000001e-05, 1e-4,
+    9.9999999999999991e-05, 0.00010000000000000002, 0.00099999999999999999,
+    1e16, 9999999999999998.0, 10000000000000002.0, 1e17, 99999999999999984.0,
+    100000000000000016.0, 12345678901234567.0, 123456789012345678.0,
+    # ties of the 17th digit, rounded half to even by CPython
+    1234567890123456.25, 1234567890123456.75, 0.5, 2.5,
+    # the edges of the significand and of the exponent range
+    float(2**53 - 1), float(2**53), float(2**53 + 2), 5e-324, 1e-323,
+    2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
+    np.nextafter(1e-290, 0.0), 1e-290, np.nextafter(1e-290, 1.0),
+    0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 0.1, 1 / 3, 2 / 3, 100.0, 123.456,
+] + powers_of_ten_and_neighbours()
+
+
+def test_edge_values_print_as_percent_17g():
+    x = np.array(EDGES + [-v for v in EDGES])
+    assert written([x]).splitlines() == reference([x]).splitlines()
+    assert written([x], lead="k,") == reference([x], lead="k,")
+
+
+def test_ties_round_half_to_even():
+    x = np.array([1234567890123456.25, 1234567890123456.75])
+    assert written([x]) == "1234567890123456.2\n1234567890123456.8\n"
+
+
+def test_mixed_columns_and_wide_rows():
+    # more columns than one block's bytes hold at the default block rows
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3 * cli._CSV_BLOCK_ROWS + 5, 12)) * 10.0 ** rng.integers(
+        -30, 30, (1, 12))
+    labels = np.array(["M", "O", "B", "", "abc"])[rng.integers(0, 5, x.shape[0])]
+    columns = [labels, *x.T, labels.astype("S")]
+    expected = "".join(
+        ",".join([label] + [format(v, ".17g") for v in row] + [label]) + "\n"
+        for label, row in zip(labels.tolist(), x.tolist()))
+    assert written(columns) == expected

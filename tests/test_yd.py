@@ -184,3 +184,42 @@ def test_yd_consistency_implies_no_oscillation_at_optimum(rng):
         k_opt = yd_optimal_arousal(params)
         verdict = discriminant(yd_rates(params, k_opt))
         assert verdict.kind is not RelaxationKind.OSCILLATORY
+
+
+@pytest.mark.parametrize("power", [-900, -600, 600, 900])
+def test_yd_results_do_not_depend_on_the_rate_unit(rng, power):
+    # rates in another time unit (times 2**power, exactly) give the same
+    # stationary states, the same optimum and the same balance report
+    c = 2.0 ** power
+    for _ in range(20):
+        a1, f1, d, e = (float(v) for v in rng.uniform(0.1, 2.0, 4))
+        params, scaled = YDParams(a1, f1, d, e), YDParams(a1 * c, f1 * c, d * c, e * c)
+        k_opt = yd_optimal_arousal(params)
+        assert yd_optimal_arousal(scaled) == k_opt
+        curve = yd_curve(params, 0.0, 4 * k_opt, 101)
+        curve_scaled = yd_curve(scaled, 0.0, 4 * k_opt, 101)
+        for name in ("rho1", "rho2", "rho3"):
+            assert np.array_equal(getattr(curve, name), getattr(curve_scaled, name))
+        report, report_scaled = yd_consistency(params), yd_consistency(scaled)
+        assert (report_scaled.lhs, report_scaled.rhs) == (report.lhs, report.rhs)
+        assert report_scaled.omega_at_kopt == report.omega_at_kopt * c
+        assert report_scaled.satisfied == report.satisfied
+
+
+def test_yd_stationary_keeps_small_rates_beside_a_huge_one():
+    # a = a1*k = 1e308 sits at the top of the float range while d, e and
+    # f = 1e-8 are small; the unscaled products a*d and a*(d+e+f) are in
+    # range, and scaling must not push d, e, f into the subnormals
+    rho = yd_stationary(YDParams(a1=1e300, f1=1e-16, d=1e-8, e=1e-8), 1e8).entries
+    assert abs(rho[2] - 1.0 / 3.0) <= 1e-15
+    assert abs(rho[1] - 2.0 / 3.0) <= 1e-15
+    assert rho[0] == 1e-16 / 3e300
+
+
+def test_yd_stationary_with_underflowing_rate_products():
+    # every product of two rates (1e-400) underflows unscaled; with all four
+    # rates equal the state is (de, a(e+f), ad) / 4r^2 = (1/4, 1/2, 1/4)
+    rho = yd_stationary(YDParams(1e-200, 1e-200, 1e-200, 1e-200), 1.0).entries
+    assert rho.tolist() == [0.25, 0.5, 0.25]
+    curve = yd_curve(YDParams(1e-200, 1e-200, 1e-200, 1e-200), 0.5, 1.0, 2)
+    assert [curve.rho1[-1], curve.rho2[-1], curve.rho3[-1]] == [0.25, 0.5, 0.25]
