@@ -10,6 +10,7 @@ then falls with a single interior maximum at k = sqrt(d*e / (a1*f1)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,22 @@ class YDCurve:
 
 
 def yd_rates(params: YDParams, k: float) -> RateMatrix:
-    """Rate matrix at arousal k: (a, b, c, d, e, f) = (a1*k, 0, 0, d, e, f1*k)."""
+    """Rate matrix at arousal k: (a, b, c, d, e, f) = (a1*k, 0, 0, d, e, f1*k).
+
+    Raises :class:`DomainError` when a1*k or f1*k is not a finite double:
+    the matrix holds the rates themselves, so unlike the stationary state
+    they cannot be rescaled into range.
+    """
     if not k >= 0.0:
         raise ValidationError(f"arousal must be >= 0, got {k!r}")
-    return RateMatrix.from_coeffs(params.a1 * k, 0.0, 0.0, params.d, params.e, params.f1 * k)
+    a, f = params.a1 * k, params.f1 * k
+    for what, rate, r1 in (("a1*k", a, params.a1), ("f1*k", f, params.f1)):
+        if not math.isfinite(rate):
+            raise DomainError(
+                f"rate {what} = {r1!r}*{k!r} is outside the float range "
+                f"(|x| <= {sys.float_info.max!r})"
+            )
+    return RateMatrix.from_coeffs(a, 0.0, 0.0, params.d, params.e, f)
 
 
 def _exponent(x: float) -> int:

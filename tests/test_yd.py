@@ -40,6 +40,17 @@ def test_yd_rates_zero_arousal_drains_to_untrained():
     assert np.allclose(p.entries, [1.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_yd_rates_overflowing_product_is_domain_error():
+    # the stationary state is still a double here, the rate a1*k is not
+    params = YDParams(a1=10, f1=1, d=1, e=1)
+    assert yd_stationary(params, 1e308).entries.tolist() == [0.0, 1.0, 1e-308]
+    with pytest.raises(DomainError, match=r"a1\*k = 10\*1e\+308 is outside the float range"):
+        yd_rates(params, 1e308)
+    with pytest.raises(DomainError, match=r"f1\*k = 1e\+300\*1e\+20 .*1\.7976931348623157e\+308"):
+        yd_rates(YDParams(a1=1, f1=1e300, d=1, e=1), 1e20)
+    assert yd_rates(params, 1e307).coeffs[0] == 1e308
+
+
 def test_yd_params_validation():
     with pytest.raises(ValidationError):
         YDParams(a1=-1, f1=1, d=1, e=1)
