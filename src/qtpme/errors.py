@@ -84,12 +84,16 @@ class ProbabilityDrift(SolverError):
 
 
 class NoConvergence(SolverError):
-    def __init__(self, residual, iterations):
+    """A decomposition whose reconstruction residual exceeds its bound
+    ``tol * |G|_F``; inf when a solve failed."""
+
+    def __init__(self, residual, bound):
         self.residual = residual
-        self.iterations = iterations
+        self.bound = bound
+        self.iterations = 0  # every decomposition is a direct solve
         super().__init__(
-            f"decomposition did not reach tolerance: residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"decomposition residual {residual:.3e} exceeds the bound "
+            f"tol*|G|_F = {bound:.3e}"
         )
 
 

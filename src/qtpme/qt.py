@@ -9,13 +9,15 @@ contributes nothing to dS/dt = n * |P sigma p|^2.
 
 For N=2 and N=3 the decomposition is available in closed form.  For
 general N the matching system becomes, on the zero-sum subspace, the linear
-Lyapunov equation ``Gq Y + Y Gq' = 2n*I`` with ``Gq`` the generator
-restricted there and ``Y`` the inverse of sigma restricted there.  When the
-stationary state is unique, Gq is Hurwitz (its eigenvalues are the nonzero
-eigenvalues of G), so Y exists, is unique and is negative definite: the
-decomposition exists, is unique, and its sigma is negative definite on the
-zero-sum subspace.  :func:`decompose` picks the method by N; every answer,
-closed forms included, is certified by its reconstruction residual.
+Lyapunov equation ``Gq Kq + Kq Gq' = n*(Gq - Gq')`` for the circulation
+``Kq`` alone, with ``Gq`` the generator restricted there; sigma then
+follows from one well-conditioned solve.  When the stationary state is
+unique, Gq is Hurwitz (its eigenvalues are the nonzero eigenvalues of G),
+so Kq is unique: the decomposition exists, is unique, and its sigma, whose
+restriction inverts the solution ``Y`` of ``Gq Y + Y Gq' = 2n*I``, is
+negative definite on the zero-sum subspace.  :func:`decompose` picks the
+method by N; every answer, closed forms included, is certified by its
+reconstruction residual.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def reconstruction_residual(qt: QTDecomposition, g: Generator) -> float:
     return _frobenius(qt.linear_operator() @ qt.entropy.sigma - g.m)
 
 
-def _certified(g: Generator, sigma, k_mat, r, tol=1e-8, steps=0) -> QTDecomposition:
+def _certified(g: Generator, sigma, k_mat, r, tol=1e-8) -> QTDecomposition:
     """Decomposition (sigma, k_mat, r) of g, certified: ValidationError if
     |G|_F overflows, NoConvergence if the residual exceeds tol * |G|_F."""
     g_norm = _frobenius(g.m)
@@ -73,7 +75,7 @@ def _certified(g: Generator, sigma, k_mat, r, tol=1e-8, steps=0) -> QTDecomposit
     entropy = QuadraticEntropy(sigma)
     residual = reconstruction_residual(QTDecomposition(entropy, k_mat, r, 0.0), g)
     if not residual <= tol * g_norm:
-        raise NoConvergence(residual, steps)
+        raise NoConvergence(residual, tol * g_norm)
     return QTDecomposition(entropy, k_mat, r, residual)
 
 
@@ -152,10 +154,6 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return q[:, 1:]
 
 
-#: most Newton steps that polish the direct solve
-_NEWTON_STEPS = 3
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
@@ -164,27 +162,30 @@ def _antisym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
-def _lyapunov(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``a @ y + y @ a.T = rhs`` through its Kronecker form."""
-    m = a.shape[0]
-    eye = np.eye(m)
-    y = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), rhs.ravel())
-    return _sym(y.reshape(m, m))
+def _circulation(a: np.ndarray, n: int) -> np.ndarray:
+    """Antisymmetric k with ``a @ k + k @ a.T = n * (a - a.T)``.
 
-
-def _newton_update(c: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Newton update u for the matching system ``c @ x = g`` with residual r.
-
-    Here ``c = n*I + k`` with k antisymmetric and x symmetric.  The
-    symmetric part of u updates x and its antisymmetric part updates k:
-    ``c @ sym(u) + antisym(u) @ x = r``, solved in Kronecker form.
+    The unknowns are the strict upper triangle of k.  Row (i, j) of the
+    operator holds ``a[i, l]`` at k[l, j] and ``a[j, l]`` at k[i, l]
+    (l running over the other indices, sign flipped where the pair is
+    stored transposed), so it is scattered from ``a`` by index arithmetic;
+    the two terms meet only on the diagonal, ``a[i, i] + a[j, j]``.
     """
-    m = x.shape[0]
-    eye = np.eye(m)
-    swap = np.arange(m * m).reshape(m, m).T.ravel()  # vec(u) -> vec(u.T)
-    left, right = np.kron(c, eye), np.kron(eye, x)
-    operator = 0.5 * (left + left[:, swap] + right - right[:, swap])
-    return np.linalg.solve(operator, r.ravel()).reshape(m, m)
+    m = a.shape[0]
+    i, j = np.triu_indices(m, 1)
+    pos = np.zeros((m, m), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    sign = np.sign(np.arange(m) - np.arange(m)[:, None])  # k[x, y] = sign[x, y] * k[pos[x, y]]
+    # others[t] lists every index but t
+    others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    rows = np.arange(i.size)[:, None]
+    li, lj = others[i], others[j]
+    operator = np.zeros((i.size, i.size))
+    operator[rows, pos[lj, j[:, None]]] = a[i[:, None], lj] * sign[lj, j[:, None]]
+    operator[rows, pos[i[:, None], li]] += a[j[:, None], li] * sign[i[:, None], li]
+    k = np.zeros((m, m))
+    k[i, j] = np.linalg.solve(operator, n * (a[i, j] - a[j, i]))
+    return k - k.T
 
 
 def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
@@ -192,34 +193,40 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
 
     On the orthonormal zero-sum basis Q the matching system reduces to
     ``(n*I + Kq) Xq = Gq`` with ``Gq = Q' G Q``, ``Xq = Q' sigma Q``
-    symmetric and ``Kq`` antisymmetric.  With ``Y = Xq^-1`` the symmetric
-    part of ``Gq Y`` must be ``n*I``: the linear Lyapunov equation
-    ``Gq Y + Y Gq' = 2n*I``.  When the stationary state is unique, Gq
-    carries the nonzero eigenvalues of G, all in the open left half-plane,
-    so Gq is Hurwitz; Y is then unique and negative definite, and so is
-    sigma on the zero-sum subspace.  The all-ones part of sigma follows from
-    ``(n*I + Kq)^-1 Q' G 1`` and the canonical gauge ``sigma[n-2, n-1] = 0``
-    fixes the free shift.
+    symmetric and ``Kq`` antisymmetric.  ``Xq = (n*I + Kq)^-1 Gq`` is
+    symmetric exactly when ``Gq Kq + Kq Gq' = n*(Gq - Gq')``, a Lyapunov
+    equation for the circulation alone, solved once with the strict upper
+    triangle of Kq, (n-1)(n-2)/2 numbers, as its unknowns.  On
+    antisymmetric matrices the Lyapunov operator has the eigenvalues
+    ``li + lj`` (i < j), the li being the eigenvalues of Gq.  When the
+    stationary state is unique the li are the nonzero eigenvalues of G, all
+    in the open left half-plane, so Kq is unique, and a pair sum stays
+    clear of zero even when one eigenvalue nearly vanishes, as on a nearly
+    reducible chain.  ``n*I + Kq`` is normal with eigenvalues of modulus at
+    least n, so the solve for Xq is well conditioned, and neither solve
+    needs refining.  ``Y = Xq^-1`` solves ``Gq Y + Y Gq' = 2n*I``, so with
+    Gq Hurwitz, Xq, and with it sigma on the zero-sum subspace, is negative
+    definite.  The all-ones part of sigma follows from
+    ``(n*I + Kq)^-1 Q' G 1`` and the canonical gauge
+    ``sigma[n-2, n-1] = 0`` fixes the free shift.
 
     A reducible chain has zero-sum stationary directions, the kernel of Gq.
     Sigma vanishes on them (``Gq v = 0`` forces ``Xq v = 0``), so the
     Lyapunov equation is solved on the complement of the kernel, where the
-    remaining eigenvalues of G keep it Hurwitz.  The rows of Kq along the
-    kernel follow from the matching system; its block within the kernel,
-    free when the chain has three or more closed classes, is set to zero.
+    remaining eigenvalues of G keep it Hurwitz; with three or more closed
+    classes two kernel eigenvalues would sum to zero.  The rows of Kq along
+    the kernel follow from the matching system; its block within the
+    kernel, free in that case, is set to zero.
 
-    Rates spanning many decades or a nearly reducible chain make the
-    Lyapunov operator ill-conditioned, so up to three Newton steps on the
-    matching system polish the solve until its residual reaches rounding
-    level.  Success means the Frobenius reconstruction residual is at most
-    ``tol`` times the Frobenius norm of the generator, a bound that follows
-    the rates through any change of time unit.
+    Success means the Frobenius reconstruction residual is at most ``tol``
+    times the Frobenius norm of the generator, a bound that follows the
+    rates through any change of time unit.
 
     Raises
     ------
     ValidationError, NoConvergence
         If |G|_F overflows; if the residual exceeds ``tol * |G|_F`` (inf
-        when a solve fails), carrying the residual and Newton steps taken.
+        when a solve fails), carrying the residual and the bound.
     """
     n = w.n
     generator = generator_from_rates(w)
@@ -232,29 +239,19 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     v = vt[:rank].T if rank < s.size else np.eye(rank)
     kernel = vt[rank:].T
     gv = v.T @ gq @ v
-    n_eye = n * np.eye(rank)
-    steps = 0
     try:
-        kv = _antisym(gv @ _lyapunov(gv, 2.0 * n_eye) - n_eye)
-        xv = _sym(np.linalg.solve(n_eye + kv, gv))
-        for _ in range(_NEWTON_STEPS):
-            c = n_eye + kv
-            rv = gv - c @ xv
-            if np.linalg.norm(rv) <= np.finfo(float).eps * np.linalg.norm(c) * np.linalg.norm(xv):
-                break
-            u = _newton_update(c, xv, rv)
-            xv, kv = xv + _sym(u), kv + _antisym(u)
-            steps += 1
+        kv = _circulation(gv, n)
+        xv = _sym(np.linalg.solve(n * np.eye(rank) + kv, gv))
         # Kernel rows of (nI + Kq) Xq = Gq; the kernel-kernel block stays 0.
         off = kernel @ (kernel.T @ gq @ v @ np.linalg.inv(xv)) @ v.T
         kq = v @ kv @ v.T + off - off.T
         b = q @ np.linalg.solve(n * np.eye(n - 1) + kq, q.T @ g.sum(axis=1)) / n
     except np.linalg.LinAlgError:
-        raise NoConvergence(float("inf"), steps) from None
+        raise NoConvergence(float("inf"), tol * _frobenius(generator.m)) from None
     sigma = _sym(q @ v @ xv @ v.T @ q.T + b[:, None] + b[None, :])
     sigma = np.ldexp(sigma - sigma[n - 2, n - 1], e)
     k_mat = _antisym(q @ kq @ q.T)
-    return _certified(generator, sigma, k_mat, float(k_mat[0, 1]) if n == 3 else None, tol, steps)
+    return _certified(generator, sigma, k_mat, float(k_mat[0, 1]) if n == 3 else None, tol)
 
 
 def decompose(w: RateMatrix) -> QTDecomposition:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +339,10 @@ def test_certifier_rejects_a_wrong_closed_form(rng):
         _certified(g, sigma, qt.k_mat, qt.r)
     assert info.value.residual > 1e-8 * np.linalg.norm(g.m)
     assert info.value.iterations == 0
+    # the message names the residual and the bound it exceeds, not a step count
+    assert info.value.bound == pytest.approx(1e-8 * np.linalg.norm(g.m), rel=1e-15)
+    assert str(info.value) == (f"decomposition residual {info.value.residual:.3e} "
+                               f"exceeds the bound tol*|G|_F = {info.value.bound:.3e}")
 
 
 def log_uniform_rates(rng, n, lo, hi):
@@ -446,7 +452,7 @@ def test_decompose_nstate_rates_spanning_decades(lo, hi, n):
 @pytest.mark.parametrize("c", [1e-250, 1e-20, 1e20, 1e250])
 def test_decompose_nstate_any_time_unit(c):
     # the solve runs on the generator scaled exactly by a power of two, so a
-    # time unit far from the rates' own neither overflows nor fails the polish
+    # time unit far from the rates' own neither overflows nor loses accuracy
     rng = np.random.default_rng(31)
     for n in (5, 6, 10):
         w = log_uniform_rates(rng, n, 1e-6, 1e6)
@@ -480,3 +486,93 @@ def test_decompose_nstate_certificates(n, seed, log_scale):
     sigma = qt.entropy.sigma
     assert np.abs(scaled.entropy.sigma - c * sigma).max() <= 1e-9 * c * np.abs(sigma).max()
     assert np.abs(scaled.k_mat - k).max() <= 1e-9 * scale
+
+
+def y_form_oracle(w):
+    """Oracle for an irreducible chain: sigma and K from the symmetric Y form.
+
+    On a zero-sum basis built independently of the solver's, solves
+    ``Gq Y + Y Gq' = 2n*I`` in dense Kronecker form with (n-1)^2 unknowns,
+    then ``Kq = antisym(Gq Y - n*I)``, ``Xq = Y^-1`` and the all-ones part
+    of sigma from ``(n*I + Kq)^-1 Q' G 1``, in canonical gauge.
+    """
+    n = w.n
+    g = generator_from_rates(w).m
+    q = np.linalg.svd(centering_projector(n))[0][:, : n - 1]
+    gq = q.T @ g @ q
+    eye = np.eye(n - 1)
+    y = np.linalg.solve(np.kron(gq, eye) + np.kron(eye, gq), 2.0 * n * eye.ravel())
+    y = y.reshape(n - 1, n - 1)
+    kq = gq @ y - n * eye
+    kq = 0.5 * (kq - kq.T)
+    xq = np.linalg.inv(0.5 * (y + y.T))
+    b = q @ np.linalg.solve(n * eye + kq, q.T @ g.sum(axis=1)) / n
+    sigma = q @ xq @ q.T + b[:, None] + b[None, :]
+    return sigma - sigma[n - 2, n - 1], q @ kq @ q.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+def test_decompose_nstate_matches_y_form_oracle(n, seed):
+    w = log_uniform_rates(np.random.default_rng(seed), n, 1e-3, 1e3)
+    qt = decompose_nstate(w)
+    sigma, k = y_form_oracle(w)
+    assert np.abs(qt.entropy.sigma - sigma).max() <= 1e-9 * np.abs(sigma).max()
+    assert np.abs(qt.k_mat - k).max() <= 1e-9 * max(1.0, np.abs(k).max())
+
+
+def nearly_reducible_rates(n, classes, coupling):
+    """``classes`` blocks of all-to-all rates in [0.1, 10], each feeding the
+    next around a ring through one link of rate ``coupling``."""
+    rng = np.random.default_rng(1000 * n + classes)
+    w = np.zeros((n, n))
+    bounds = np.linspace(0, n, classes + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        w[lo:hi, lo:hi] = np.exp(rng.uniform(np.log(0.1), np.log(10.0), (hi - lo,) * 2))
+    for lo, nxt in zip(bounds[:-1], np.roll(bounds[:-1], -1)):
+        w[nxt, lo] = coupling  # rows are destinations
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def one_way_cycle_rates(n, background=0.0, back=0.0):
+    """Unit rates j -> j+1 around a ring, ``back`` for j+1 -> j and
+    ``background`` between every other pair."""
+    w = np.full((n, n), background)
+    ring = np.arange(n)
+    w[(ring + 1) % n, ring] = 1.0
+    w[ring, (ring + 1) % n] = back
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+HARD_CHAINS = {
+    **{
+        f"reducible{classes}-n{n}-{coupling:g}": nearly_reducible_rates(n, classes, coupling)
+        for classes in (2, 3) for coupling in (1e-15, 1e-12, 1e-9) for n in (10, 20)
+    },
+    **{f"one-way-n{n}-all-1e-9": one_way_cycle_rates(n, background=1e-9) for n in (10, 30)},
+    **{f"one-way-n{n}-back-1e-12": one_way_cycle_rates(n, back=1e-12) for n in (10, 30)},
+    "12-decades-n30": log_uniform_rates(np.random.default_rng(12), 30, 1e-6, 1e6).w,
+}
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e-250, 1e250])
+@pytest.mark.parametrize("chain", sorted(HARD_CHAINS))
+def test_decompose_nstate_hard_families_certify_tightly(chain, unit):
+    rates = HARD_CHAINS[chain]
+    g_norm = unit * np.linalg.norm(generator_from_rates(RateMatrix(rates)).m)
+    qt = decompose_nstate(RateMatrix(unit * rates))
+    assert qt.residual <= 1e-13 * g_norm
+
+
+def test_decompose_nstate_memory_stays_below_a_kronecker_system():
+    # one (N-1)^2 x (N-1)^2 float array at N=60 alone takes 92 MiB
+    w = log_uniform_rates(np.random.default_rng(60), 60, 0.1, 10.0)
+    tracemalloc.start()
+    try:
+        decompose_nstate(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
