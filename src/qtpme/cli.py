@@ -62,6 +62,9 @@ class _Parser(argparse.ArgumentParser):
 #: (``csvtext._BLOCK_BYTES``); bounds the memory of a streamed table
 _CSV_BLOCK_ROWS = 4096
 
+#: the sweep's class letter of each class index, as bytes
+_CLASS_LETTERS = monotonicity._LETTERS.astype("S1")
+
 
 def _load_rates(path: str) -> RateMatrix:
     try:
@@ -93,9 +96,11 @@ def _write(chunks, out_path: str | None) -> None:
             fh.close()
 
 
-def _csv_blocks(columns, lead: str = ""):
-    """Yield the CSV rows of equal-length 1-D columns, a block of at most
-    ``_CSV_BLOCK_ROWS`` rows at a time, each row starting with ``lead``.
+def _csv_blocks(parts, lead: str = ""):
+    """Yield the CSV rows of a table, a block of at most ``_CSV_BLOCK_ROWS``
+    rows at a time, each row starting with ``lead``.  ``parts`` yields the
+    table's rows in order, each part a list of equal-length 1-D columns of
+    the kinds and text widths of the first.
 
     Floats print exactly as C ``%.17g`` with negative zero folded into
     zero; other columns (bytes or str arrays, lists of text) print their
@@ -104,7 +109,14 @@ def _csv_blocks(columns, lead: str = ""):
     """
     from . import csvtext
 
-    return csvtext.blocks(columns, lead, _CSV_BLOCK_ROWS)
+    return csvtext.blocks(parts, lead, _CSV_BLOCK_ROWS)
+
+
+def _check(blocks) -> None:
+    """Evaluate a table once and keep nothing, so that every input error
+    is raised before the first byte is written."""
+    for _ in blocks():
+        pass
 
 
 def _json_doc(obj) -> str:
@@ -175,7 +187,7 @@ def _cmd_simulate(args) -> int:
         header.append("S_BS")
         columns.append(series.s_bs_vals)
 
-    _write(chain([",".join(header) + "\n"], _csv_blocks(columns)), args.out)
+    _write(chain([",".join(header) + "\n"], _csv_blocks([columns])), args.out)
     return _EXIT_OK
 
 
@@ -216,24 +228,21 @@ def _cmd_sweep(args) -> int:
         raise BadAxis(f"sweep needs exactly two --vary specs, got {len(vary)}")
     w = _load_rates(args.rates)
     (ax1, lo1, hi1, n1), (ax2, lo2, hi2, n2) = (_parse_vary(s) for s in vary)
-    region = monotonicity.sweep(w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2))
+    grid1, grid2, blocks = monotonicity._sweep_blocks(
+        w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2))
+    _check(blocks)
 
-    def blocks():
-        # Each axis value is formatted once, as fixed-width text; each call
-        # of _csv_blocks covers whole grid rows, about four blocks of them,
-        # so that its setup is paid once per four blocks.
+    def parts():
+        # each axis value is formatted once, as fixed-width text
         from . import csvtext
 
-        text1, text2 = csvtext.float_text(region.grid1), csvtext.float_text(region.grid2)
-        step = max(1, 4 * _CSV_BLOCK_ROWS // text2.size)
-        for i in range(0, text1.size, step):
-            part = slice(i, i + step)
-            classes = region.classes[part].view(np.uint32).astype(np.uint8).view("S1")
-            yield from _csv_blocks([np.repeat(text1[part], text2.size),
-                                    np.tile(text2, text1[part].size),
-                                    classes.ravel(), region.discriminants[part].ravel()])
+        text1, text2 = csvtext.float_text(grid1), csvtext.float_text(grid2)
+        for rows, cols, disc, index in blocks():
+            height, width = disc.shape
+            yield [np.repeat(text1[rows], width), np.tile(text2[cols], height),
+                   _CLASS_LETTERS[index].ravel(), disc.ravel()]
 
-    _write(chain([f"{ax1},{ax2},class,D\n"], blocks()), args.out)
+    _write(chain([f"{ax1},{ax2},class,D\n"], _csv_blocks(parts())), args.out)
     return _EXIT_OK
 
 
@@ -252,9 +261,10 @@ def _cmd_yd_curve(args) -> int:
                                       "is outside the float range; give --k-max")
         else:
             k_max = 10.0
-    curve = yd.yd_curve(params, args.k_min, k_max, args.steps)
-    columns = [curve.k_grid, curve.rho1, curve.rho2, curve.rho3]
-    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(columns)), args.out)
+    k_grid, blocks = yd._curve_blocks(params, args.k_min, k_max, args.steps)
+    _check(blocks)
+    parts = ([k_grid[part], *rho] for part, *rho in blocks())
+    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(parts)), args.out)
     return _EXIT_OK
 
 

@@ -228,14 +228,23 @@ def float_fields(x: np.ndarray, field: np.ndarray, first: bool) -> np.ndarray:
 
 def float_text(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of each float, as a fixed-width bytes array."""
-    text = "".join(blocks([np.asarray(values, float)], "", max(1, len(values))))
+    text = "".join(blocks([[np.asarray(values, float)]], "", max(1, len(values))))
     return np.array(text.split("\n")[:-1], dtype="S")
 
 
-def blocks(columns, lead: str, block_rows: int):
-    """Yield the CSV text of equal-length 1-D columns, at most
-    ``block_rows`` rows (and ``_BLOCK_BYTES`` of buffer) at a time, every
-    row starting with the fixed text ``lead``.
+def _as_text(column) -> np.ndarray:
+    """A text column as a contiguous fixed-width bytes array."""
+    text = np.asarray(column)
+    return np.ascontiguousarray(text if text.dtype.kind == "S" else text.astype("S"))
+
+
+def blocks(parts, lead: str, block_rows: int):
+    """Yield the CSV text of a table, at most ``block_rows`` rows (and
+    ``_BLOCK_BYTES`` of buffer) at a time, every row starting with the
+    fixed text ``lead``.  ``parts`` yields the table's rows in order, each
+    part a list of equal-length 1-D columns; every part has the columns of
+    the first, of the same kinds and text widths, so that one buffer,
+    allocated for the first part, serves the whole table.
 
     Float arrays print as ``%.17g`` with negative zero folded into zero;
     any other column prints as the ASCII text of its ``bytes`` or ``str``
@@ -245,34 +254,34 @@ def blocks(columns, lead: str, block_rows: int):
     call, and the block's text is one compaction of the buffer.
     """
     t = _tables()
-    rows = len(columns[0])
+    parts = iter(parts)
+    columns = next(parts, None)
+    if columns is None:
+        return
     head = np.frombuffer(lead.encode("ascii"), np.uint8)
     first = at = -(-head.size // 4) * 4
+    # float runs as (offset, column numbers); texts as (offset, column
+    # number, width, the mask of a text of each length)
     floats, texts = [], []
-    for column in columns:
+    for i, column in enumerate(columns):
         if isinstance(column, np.ndarray) and column.dtype.kind == "f":
             if floats and floats[-1][0] + _WIDTH * len(floats[-1][1]) == at:
-                floats[-1][1].append(column)
+                floats[-1][1].append(i)
             else:
-                floats.append((at, [column]))
+                floats.append((at, [i]))
             at += _WIDTH
         else:
-            text = np.asarray(column)
-            text = np.ascontiguousarray(text if text.dtype.kind == "S" else text.astype("S"))
-            width = text.dtype.itemsize
+            width = _as_text(column).dtype.itemsize
             # the mask of a text of each length, as one void item per length
             masks = np.zeros((width + 1, -(-(width + 1) // 4) * 4), bool)
             masks[:, 0] = at != first
             masks[:, 1:width + 1] = np.tri(width + 1, width, -1, bool)
             masks = masks.view(f"V{masks.shape[1]}")[:, 0]
-            lengths = np.char.str_len(text)
-            texts.append((at, text.view(np.uint8).reshape(rows, width),
-                          None if (lengths == width).all() else lengths, masks))
+            texts.append((at, i, width, masks))
             at += masks.itemsize
 
     # one buffer for every block; the lead, separators and newline stay put
-    block_rows = min(block_rows, max(1, _BLOCK_BYTES // (at + 4)))
-    size = min(rows, block_rows)
+    size = max(1, min(len(columns[0]), block_rows, _BLOCK_BYTES // (at + 4)))
     buf = np.zeros((size, at + 4), np.uint8)
     keep = np.zeros(buf.shape, bool)
     buf[:, :head.size] = head
@@ -283,22 +292,34 @@ def blocks(columns, lead: str, block_rows: int):
         keep[:, off:off + masks.itemsize] = masks[-1:].view(bool)  # text of full width
     values = [np.empty((size, len(run))) for _, run in floats]
 
-    for start in range(0, rows, block_rows):
-        stop = min(start + block_rows, rows)
-        n = stop - start
-        for (off, run), x in zip(floats, values):
-            x = x[:n]
-            for j, column in enumerate(run):
-                x[:, j] = column[start:stop]
-            with np.errstate(invalid="ignore"):  # a signalling NaN
-                x += 0.0
-            end = off + _WIDTH * len(run)
-            shape = (n, len(run), _WIDTH)
-            rows_at = float_fields(x, buf[:n, off:end].reshape(shape), off == first)
-            keep[:n, off:end] = t.masks[rows_at].view(bool)
-        for off, text, lengths, masks in texts:
-            buf[:n, off + 1:off + 1 + text.shape[1]] = text[start:stop]
-            if lengths is not None:
-                mask = masks[lengths[start:stop]].view(bool)
-                keep[:n, off:off + masks.itemsize] = mask.reshape(n, -1)
-        yield buf[:n][keep[:n]].tobytes().decode("ascii")
+    while columns is not None:
+        rows = len(columns[0])
+        text_columns = []
+        for off, i, width, masks in texts:
+            text = _as_text(columns[i])
+            if text.dtype.itemsize != width:
+                raise ValueError(f"text column {i} is {text.dtype.itemsize} bytes wide "
+                                 f"in a later part, {width} in the first")
+            lengths = np.char.str_len(text)
+            text_columns.append((off, text.view(np.uint8).reshape(rows, width),
+                                 None if (lengths == width).all() else lengths, masks))
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
+            n = stop - start
+            for (off, run), x in zip(floats, values):
+                x = x[:n]
+                for j, i in enumerate(run):
+                    x[:, j] = columns[i][start:stop]
+                with np.errstate(invalid="ignore"):  # a signalling NaN
+                    x += 0.0
+                end = off + _WIDTH * len(run)
+                shape = (n, len(run), _WIDTH)
+                rows_at = float_fields(x, buf[:n, off:end].reshape(shape), off == first)
+                keep[:n, off:end] = t.masks[rows_at].view(bool)
+            for off, text, lengths, masks in text_columns:
+                buf[:n, off + 1:off + 1 + text.shape[1]] = text[start:stop]
+                if lengths is not None:
+                    mask = masks[lengths[start:stop]].view(bool)
+                    keep[:n, off:off + masks.itemsize] = mask.reshape(n, -1)
+            yield buf[:n][keep[:n]].tobytes().decode("ascii")
+        columns = next(parts, None)

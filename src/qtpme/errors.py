@@ -90,7 +90,6 @@ class NoConvergence(SolverError):
     def __init__(self, residual, bound):
         self.residual = residual
         self.bound = bound
-        self.iterations = 0  # every decomposition is a direct solve
         super().__init__(
             f"decomposition residual {residual:.3e} exceeds the bound "
             f"tol*|G|_F = {bound:.3e}"

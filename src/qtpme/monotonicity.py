@@ -10,6 +10,7 @@ balanced rate sums no oscillatory region exists at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,13 @@ from .errors import BadAxis, BadShape, ValidationError
 #: relative width of the boundary band around D = 0 (scaled by xi^2, so
 #: the class does not depend on the time unit of the rates)
 TOL_B = 1e-9
+
+#: the class code of each class index 0/1/2
+_LETTERS = np.array(["O", "B", "M"])
+
+#: grid cells per block of a sweep, at least one grid row: the formula's
+#: temporaries stay small and no full-grid temporary exists
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +87,21 @@ def _unscaled(x, e):
     return x
 
 
-def classify_discriminant(disc, xi):
-    """Class code for a discriminant at the boundary tolerance; all-zero
-    rates (xi = 0, D = 0) fall on the boundary."""
+def _class_index(disc, xi):
+    """Class index 0/1/2 (O/B/M) of a discriminant at the boundary
+    tolerance, as int8; all-zero rates (xi = 0, D = 0) fall on the
+    boundary."""
     tol = TOL_B * (xi * xi)
-    return np.where(disc < -tol, "O", np.where(disc > tol, "M", "B"))
+    index = np.ones(np.broadcast(disc, xi).shape, np.int8)
+    index += disc > tol
+    index -= disc < -tol
+    return index
+
+
+def classify_discriminant(disc, xi):
+    """Class code 'O', 'B' or 'M' of each discriminant: the letter of its
+    class index."""
+    return _LETTERS[_class_index(disc, xi)]
 
 
 def discriminant(w: RateMatrix) -> RelaxationClass:
@@ -124,6 +142,61 @@ def ellipse_value(coords: UVWCoordinates) -> float:
     return 3.0 * u * u + v * v + 4.0 * omega * u + omega * omega
 
 
+def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resolution):
+    """Validate a sweep and return its two grids and a function whose every
+    call evaluates the grid anew, yielding ``(rows, cols, D, index)`` per
+    block of about ``_BLOCK_CELLS`` cells in row-major order: the grid's
+    row and column slices, the discriminants and the int8 class indices
+    (0/1/2 = O/B/M).  A block is whole grid rows, or part of one row when a
+    row is wider.  Each block is classified at unit size; one whose D
+    overflows once scaled back raises ValidationError.
+    """
+    if template.n != 3:
+        raise BadShape(f"expected N=3 template, got N={template.n}")
+    for axis in (axis1, axis2):
+        if axis not in COEFF_NAMES:
+            raise BadAxis(f"unknown axis {axis!r}; expected one of {COEFF_NAMES}")
+    if axis1 == axis2:
+        raise BadAxis(f"axes must be distinct, got {axis1!r} twice")
+    try:
+        (lo1, hi1), (lo2, hi2) = ranges
+    except (TypeError, ValueError):
+        raise BadAxis(f"ranges must be a pair of (lo, hi) pairs, got {ranges!r}") from None
+    if isinstance(resolution, int):
+        steps1 = steps2 = resolution
+    else:
+        steps1, steps2 = resolution
+    for axis, lo, hi, steps in ((axis1, lo1, hi1, steps1), (axis2, lo2, hi2, steps2)):
+        if not 0.0 <= lo <= hi < math.inf:
+            raise BadAxis(f"axis {axis!r} needs finite bounds 0 <= lo <= hi, "
+                          f"got lo={lo!r}, hi={hi!r}")
+        if steps < 1:
+            raise ValidationError(f"resolution must be >= 1, got {steps}")
+
+    grid1 = np.linspace(lo1, hi1, steps1)
+    grid2 = np.linspace(lo2, hi2, steps2)
+    # The fixed coefficients stay scalars and the axes broadcast, so only
+    # the formula's intermediates, at unit size, take the block's shape.
+    values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
+    scaled, e = unit_scaled([values[name] for name in COEFF_NAMES])
+    values = dict(zip(COEFF_NAMES, scaled))
+    scaled1, scaled2 = np.ldexp(grid1, -e)[:, None], np.ldexp(grid2, -e)[None, :]
+    height = max(1, _BLOCK_CELLS // grid2.size)
+    width = min(grid2.size, _BLOCK_CELLS)
+
+    def blocks():
+        for row in range(0, grid1.size, height):
+            rows = slice(row, row + height)
+            for col in range(0, grid2.size, width):
+                cols = slice(col, col + width)
+                cells = {**values, axis1: scaled1[rows], axis2: scaled2[:, cols]}
+                disc, xi, _ = discriminant_values(*(cells[name] for name in COEFF_NAMES))
+                index = _class_index(disc, xi)
+                yield rows, cols, _unscaled(disc, 2 * e), index
+
+    return grid1, grid2, blocks
+
+
 def sweep(
     template: RateMatrix,
     axis1: str,
@@ -141,48 +214,20 @@ def sweep(
     axis1, axis2 : str
         Distinct names from 'a'..'f'; axis1 indexes rows of the output.
     ranges : pair of (lo, hi)
-        Nonnegative value ranges for the two axes.
+        Finite value ranges ``0 <= lo <= hi`` for the two axes.
     resolution : int or pair of int
         Number of grid points per axis (a single int applies to both).
     jobs : int
-        Ignored; the grid is one vectorised evaluation.  Kept so that
-        existing callers passing ``jobs=`` keep working.
+        Ignored; the grid is evaluated block by block in this thread.
+        Kept so that existing callers passing ``jobs=`` keep working.
     """
-    if template.n != 3:
-        raise BadShape(f"expected N=3 template, got N={template.n}")
-    for axis in (axis1, axis2):
-        if axis not in COEFF_NAMES:
-            raise BadAxis(f"unknown axis {axis!r}; expected one of {COEFF_NAMES}")
-    if axis1 == axis2:
-        raise BadAxis(f"axes must be distinct, got {axis1!r} twice")
-    try:
-        (lo1, hi1), (lo2, hi2) = ranges
-    except (TypeError, ValueError):
-        raise BadAxis(f"ranges must be a pair of (lo, hi) pairs, got {ranges!r}") from None
-    if isinstance(resolution, int):
-        steps1 = steps2 = resolution
-    else:
-        steps1, steps2 = resolution
-    for lo, hi, steps in ((lo1, hi1, steps1), (lo2, hi2, steps2)):
-        if lo < 0.0 or hi < lo:
-            raise ValidationError(f"ranges must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        if steps < 1:
-            raise ValidationError(f"resolution must be >= 1, got {steps}")
-
-    grid1 = np.linspace(lo1, hi1, steps1)
-    grid2 = np.linspace(lo2, hi2, steps2)
-    # The fixed coefficients stay scalars and the axes broadcast, so only
-    # the formula's intermediates, at unit size, take the full grid shape.
-    values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
-    scaled, e = unit_scaled([values[name] for name in COEFF_NAMES])
-    values = dict(zip(COEFF_NAMES, scaled))
-    values[axis1], values[axis2] = np.ldexp(grid1, -e)[:, None], np.ldexp(grid2, -e)[None, :]
-    disc, xi, _ = discriminant_values(*(values[name] for name in COEFF_NAMES))
-    classes = classify_discriminant(disc, xi)
-    disc = _unscaled(disc, 2 * e)
-
-    fraction = float(np.count_nonzero(classes == "O")) / classes.size
+    grid1, grid2, blocks = _sweep_blocks(template, axis1, axis2, ranges, resolution)
+    disc = np.empty((grid1.size, grid2.size))
+    index = np.empty(disc.shape, np.int8)
+    for rows, cols, block_disc, block_index in blocks():
+        disc[rows, cols], index[rows, cols] = block_disc, block_index
+    fraction = float(np.count_nonzero(index == 0)) / index.size
     return RegionMap(
         axis1=axis1, axis2=axis2, grid1=grid1, grid2=grid2,
-        classes=classes, discriminants=disc, fraction_oscillatory=fraction,
+        classes=_LETTERS[index], discriminants=disc, fraction_oscillatory=fraction,
     )

@@ -142,23 +142,47 @@ def yd_stationary(params: YDParams, k: float) -> ProbabilityVector:
     return ProbabilityVector(np.array([num1, num2, num3]) / denom)
 
 
-def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurve:
-    """Sample the stationary occupations over a uniform arousal grid.
+#: arousal points per block of a curve
+_BLOCK_POINTS = 1 << 14
 
-    The occupations are (de, a(e+f), ad) / (de + a(d+e+f)); rho3 vanishes
-    at k = 0 and as k grows without bound, which is the inverted-U shape.
+
+def _curve_blocks(params: YDParams, k_min: float, k_max: float, steps: int):
+    """Validate a curve and return its arousal grid and a function whose
+    every call evaluates the grid anew, yielding ``(part, rho1, rho2, rho3)``
+    per block of ``_BLOCK_POINTS`` points: the slice of the grid and the
+    occupations there.  A block where the denominator vanishes raises
+    :class:`DegenerateDenominator`.
     """
     if not (0.0 <= k_min < k_max < np.inf):
         raise ValidationError(f"need finite 0 <= k_min < k_max, got ({k_min}, {k_max})")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
     k_grid = np.linspace(k_min, k_max, steps)
-    num1, num2, num3, denom = _stationary_parts(params, k_grid)
-    if denom.min() <= 0.0:
-        raise DegenerateDenominator(
-            "stationary denominator vanishes somewhere on the arousal grid"
-        )
-    return YDCurve(k_grid=k_grid, rho1=num1 / denom, rho2=num2 / denom, rho3=num3 / denom)
+
+    def blocks():
+        for start in range(0, steps, _BLOCK_POINTS):
+            part = slice(start, start + _BLOCK_POINTS)
+            num1, num2, num3, denom = _stationary_parts(params, k_grid[part])
+            if denom.min() <= 0.0:
+                raise DegenerateDenominator(
+                    "stationary denominator vanishes somewhere on the arousal grid"
+                )
+            yield part, num1 / denom, num2 / denom, num3 / denom
+
+    return k_grid, blocks
+
+
+def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurve:
+    """Sample the stationary occupations over a uniform arousal grid.
+
+    The occupations are (de, a(e+f), ad) / (de + a(d+e+f)); rho3 vanishes
+    at k = 0 and as k grows without bound, which is the inverted-U shape.
+    """
+    k_grid, blocks = _curve_blocks(params, k_min, k_max, steps)
+    rho = np.empty((3, steps))
+    for part, *block in blocks():
+        rho[:, part] = block
+    return YDCurve(k_grid=k_grid, rho1=rho[0], rho2=rho[1], rho3=rho[2])
 
 
 def _product(x: float, y: float) -> tuple[float, int]:

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtpme import cli
+from qtpme import RateMatrix, cli, monotonicity
+from qtpme.errors import ValidationError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -76,7 +79,7 @@ def _reference_csv(header, columns, lead=""):
 def _written_csv(header, columns, lead=""):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        cli._write([",".join(header) + "\n", *cli._csv_blocks(columns, lead=lead)], None)
+        cli._write([",".join(header) + "\n", *cli._csv_blocks([columns], lead=lead)], None)
     return buffer.getvalue()
 
 
@@ -106,7 +109,7 @@ def test_csv_writer_matches_line_by_line_reference(rows, pool, labels, lead, see
 def test_csv_writer_streams_blocks_to_a_file(tmp_path):
     column = np.linspace(-1.0, 1.0, 2 * _BLOCK + 1)
     out = tmp_path / "table.csv"
-    cli._write(["x,y\n", *cli._csv_blocks([column, -column])], str(out))
+    cli._write(["x,y\n", *cli._csv_blocks([[column, -column]])], str(out))
     assert out.read_bytes() == _reference_csv(
         ["x", "y"], [column.tolist(), (-column).tolist()]).encode("utf-8")
 
@@ -343,6 +346,56 @@ def test_overflowing_discriminant_is_input_error(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("vary", ["a:0:inf:3", "a:nan:1:3", "a:-inf:1:3", "a:0:nan:3"])
+def test_sweep_non_finite_vary_bound_is_input_error(vary):
+    # no numpy warning, no blame on the rates: the bound is named
+    proc = run_cli("sweep", "--rates", str(DATA / "rates_cyclic.json"),
+                   "--vary", vary, "--vary", "b:0:1:3")
+    first = assert_error_lines(proc, 1, "BadAxis")
+    lo, hi = (repr(float(x)) for x in vary.split(":")[1:3])
+    assert first == f"error: axis 'a' needs finite bounds 0 <= lo <= hi, got lo={lo}, hi={hi}"
+
+
+def test_sweep_overflow_in_the_last_block_writes_nothing(tmp_path):
+    # D ~ a^2 overflows only for a above 1.34e154, in the last of four blocks
+    ranges, steps = ((0.0, 1.4e154), (0.0, 1.0)), (20000, 3)
+    _, _, blocks = monotonicity._sweep_blocks(
+        RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0), "a", "b", ranges, steps)  # rates_cyclic
+    done = []
+    with pytest.raises(ValidationError, match="discriminant is not finite"):
+        for rows, _, _, _ in blocks():
+            done.append(rows)
+    assert len(done) == 3 and done[-1].stop < 20000
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--rates", str(DATA / "rates_cyclic.json"),
+            "--vary", "a:0:1.4e154:20000", "--vary", "b:0:1:3"]
+    assert_error_lines(run_cli(*args), 1, "ValidationError")
+    assert_error_lines(run_cli(*args, "--out", str(out)), 1, "ValidationError")
+    assert not out.exists()
+
+
+def test_degenerate_yd_curve_writes_no_file(tmp_path):
+    out = tmp_path / "curve.csv"
+    proc = run_cli("yd", "curve", "--a1", "0", "--f1", "1", "--d", "1", "--e", "0",
+                   "--steps", "40000", "--out", str(out))
+    assert_error_lines(proc, 1, "DegenerateDenominator")
+    assert not out.exists()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # the whole-grid evaluation peaked at 157 MiB here
+    argv = ["sweep", "--rates", str(DATA / "rates_126.json"),
+            "--vary", "a:0:5:2000", "--vary", "e:0:5:2000", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 8 * 2**20
 
 
 def test_rates_near_the_float_limit(tmp_path):

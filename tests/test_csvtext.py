@@ -1,13 +1,14 @@
 """The vectorised CSV float text is byte-for-byte C ``%.17g``."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtpme import cli
 
 
 def written(columns, lead=""):
-    return "".join(cli._csv_blocks(columns, lead=lead))
+    return "".join(cli._csv_blocks([columns], lead=lead))
 
 
 def reference(columns, lead=""):
@@ -75,3 +76,20 @@ def test_mixed_columns_and_wide_rows():
         ",".join([label] + [format(v, ".17g") for v in row] + [label]) + "\n"
         for label, row in zip(labels.tolist(), x.tolist()))
     assert written(columns) == expected
+
+
+def test_parts_stream_through_one_buffer():
+    # a table given in parts prints as the same table in one piece; the
+    # parts' sizes straddle the block rows, as a streamed table's do
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(3 * cli._CSV_BLOCK_ROWS + 7)
+    labels = np.array([b"M", b"O", b"B"])[rng.integers(0, 3, x.size)]
+    cuts = [0, 5000, 5001, 9000, x.size]
+    parts = [[labels[a:b], x[a:b]] for a, b in zip(cuts, cuts[1:])]
+    assert "".join(cli._csv_blocks(parts, lead="k,")) == written([labels, x], lead="k,")
+
+
+def test_parts_keep_the_text_width_of_the_first():
+    parts = [[np.array([b"M"]), np.ones(1)], [np.array([b"MO"]), np.ones(1)]]
+    with pytest.raises(ValueError, match="text column 0 is 2 bytes wide"):
+        "".join(cli._csv_blocks(parts))

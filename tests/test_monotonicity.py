@@ -17,7 +17,7 @@ from qtpme import (
     validate_rates,
 )
 from qtpme.errors import BadAxis, BadShape, ValidationError
-from qtpme.monotonicity import discriminant_values
+from qtpme.monotonicity import classify_discriminant, discriminant_values
 
 from conftest import (
     random_probability,
@@ -190,6 +190,43 @@ def test_sweep_rejects_bad_axes():
         sweep(template, "a", "a", ((0, 1), (0, 1)), 5)
     with pytest.raises(ValidationError):
         sweep(template, "a", "b", ((-1, 1), (0, 1)), 5)
+
+
+@pytest.mark.parametrize("ranges", [
+    ((0.0, np.inf), (0.0, 1.0)),
+    ((np.nan, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, np.nan)),
+    ((0.0, 1.0), (-np.inf, 1.0)),
+])
+def test_sweep_rejects_non_finite_bounds(ranges):
+    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
+    axis = "a" if not np.isfinite(ranges[0]).all() else "b"
+    with pytest.raises(BadAxis, match=f"axis '{axis}' needs finite bounds"):
+        sweep(template, "a", "b", ranges, 3)
+
+
+@pytest.mark.parametrize("steps", [(1, 1), (7, 3), (1, 40000), (3000, 7), (1000, 1000)])
+def test_sweep_blocks_match_the_whole_grid(steps):
+    # a row of 40000 cells spans three blocks; 3000x7 and 1000x1000 end in
+    # a partial block of whole rows
+    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
+    region = sweep(template, "e", "c", ((0.0, 2.0), (0.0, 3.0)), steps)
+    values = dict(zip("abcdef", template.coeffs))
+    values["e"], values["c"] = region.grid1[:, None], region.grid2[None, :]
+    disc, xi, _ = discriminant_values(*(values[name] for name in "abcdef"))
+    disc = np.broadcast_to(disc, steps)
+    assert region.discriminants.shape == steps
+    assert np.array_equal(region.discriminants.view(np.uint64), disc.view(np.uint64))
+    classes = classify_discriminant(disc, xi)
+    assert region.classes.dtype == np.dtype("<U1")
+    assert np.array_equal(region.classes, classes)
+    assert region.fraction_oscillatory == np.count_nonzero(classes == "O") / disc.size
+
+
+def test_classify_discriminant_letters():
+    disc = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0, np.nan])
+    assert classify_discriminant(disc, 1.0).tolist() == ["O", "B", "B", "B", "M", "B"]
+    assert str(classify_discriminant(0.0, 0.0)) == "B"
 
 
 def test_non_finite_discriminant_is_input_error():

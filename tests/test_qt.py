@@ -338,7 +338,6 @@ def test_certifier_rejects_a_wrong_closed_form(rng):
     with pytest.raises(NoConvergence) as info:
         _certified(g, sigma, qt.k_mat, qt.r)
     assert info.value.residual > 1e-8 * np.linalg.norm(g.m)
-    assert info.value.iterations == 0
     # the message names the residual and the bound it exceeds, not a step count
     assert info.value.bound == pytest.approx(1e-8 * np.linalg.norm(g.m), rel=1e-15)
     assert str(info.value) == (f"decomposition residual {info.value.residual:.3e} "

@@ -22,6 +22,7 @@ from qtpme.errors import (
     ZeroRateProduct,
 )
 from qtpme.pme import kernel_dimension
+from qtpme.yd import _stationary_parts
 
 
 def test_yd_rates_substitution():
@@ -100,6 +101,16 @@ def test_yd_curve_validation():
         yd_curve(params, 0.0, 1.0, 1)
     with pytest.raises(DegenerateDenominator):
         yd_curve(YDParams(a1=1, f1=1, d=1, e=0), 0.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("steps", [2, 16385, 200000])
+def test_yd_curve_blocks_match_the_whole_grid(steps):
+    # 16385 points are one block and one point
+    params = YDParams(a1=0.3, f1=2.0, d=3.0, e=0.1)
+    curve = yd_curve(params, 0.0, 40.0, steps)
+    num1, num2, num3, denom = _stationary_parts(params, np.linspace(0.0, 40.0, steps))
+    for got, num in ((curve.rho1, num1), (curve.rho2, num2), (curve.rho3, num3)):
+        assert np.array_equal(got.view(np.uint64), (num / denom).view(np.uint64))
 
 
 @pytest.mark.parametrize("k_min, k_max", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
