@@ -9,7 +9,6 @@ The public names below are loaded from their submodules on first use, so
 ``import qtpme`` itself loads no numpy.
 """
 
-import importlib
 import sys
 import types
 
@@ -113,13 +112,20 @@ __all__ = [
 __version__ = "0.1.0"
 
 
+def _submodule(name):
+    # ``__import__`` rather than ``importlib.import_module``: only the
+    # former's imports are reported by ``python -X importtime``
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     module = _SUBMODULE_OF.get(name)
     if module is None:
         if name in _SUBMODULES:
-            return importlib.import_module(f"{__name__}.{name}")
+            return _submodule(name)
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(_submodule(module), name)
     globals()[name] = value
     return value
 

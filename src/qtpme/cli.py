@@ -86,8 +86,13 @@ def _emit(text: str, fh) -> None:
 
 def _write(chunks, out_path: str | None) -> None:
     """Stream text chunks to stdout or to a new file at ``out_path``, each
-    through ``_emit`` as it is produced."""
-    fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8", newline="")
+    through ``_emit`` as it is produced.  An ``--out`` path that cannot be
+    opened is an input error; a failure once the file is open is not."""
+    try:
+        fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8",
+                                                      newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out_path!r}: {exc}") from exc
     try:
         for chunk in chunks:
             _emit(chunk, fh)

@@ -227,9 +227,24 @@ def float_fields(x: np.ndarray, field: np.ndarray, first: bool) -> np.ndarray:
 
 
 def float_text(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each float, as a fixed-width bytes array."""
-    text = "".join(blocks([[np.asarray(values, float)]], "", max(1, len(values))))
-    return np.array(text.split("\n")[:-1], dtype="S")
+    """The ``%.17g`` text of each float of the 1-D ``values``, as a
+    fixed-width bytes array as wide as the longest text.
+
+    Each block of CSV lines becomes a fixed-width array of its own widest
+    line by one masked scatter of its bytes, and the blocks are joined
+    once, so no Python object is made per value.
+    """
+    parts = [np.empty(0, "S1")]
+    for text in blocks([[np.asarray(values, float)]], "", max(1, len(values))):
+        raw = np.frombuffer(text.encode("ascii"), np.uint8)
+        newline = raw == ord("\n")
+        ends = np.flatnonzero(newline)
+        lengths = np.diff(ends, prepend=-1) - 1
+        width = int(lengths.max())
+        field = np.zeros((ends.size, width), np.uint8)
+        field[np.arange(width) < lengths[:, None]] = raw[~newline]
+        parts.append(field.view(f"S{width}")[:, 0])
+    return np.concatenate(parts)
 
 
 def _as_text(column) -> np.ndarray:

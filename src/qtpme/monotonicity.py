@@ -171,7 +171,7 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
             raise BadAxis(f"axis {axis!r} needs finite bounds 0 <= lo <= hi, "
                           f"got lo={lo!r}, hi={hi!r}")
         if steps < 1:
-            raise ValidationError(f"resolution must be >= 1, got {steps}")
+            raise BadAxis(f"axis {axis!r} needs steps >= 1, got {steps}")
 
     grid1 = np.linspace(lo1, hi1, steps1)
     grid2 = np.linspace(lo2, hi2, steps2)

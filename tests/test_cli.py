@@ -358,6 +358,26 @@ def test_sweep_non_finite_vary_bound_is_input_error(vary):
     assert first == f"error: axis 'a' needs finite bounds 0 <= lo <= hi, got lo={lo}, hi={hi}"
 
 
+def test_sweep_zero_steps_names_the_axis():
+    proc = run_cli("sweep", "--rates", str(DATA / "rates_cyclic.json"),
+                   "--vary", "a:0:1:3", "--vary", "b:0:1:0")
+    assert assert_error_lines(proc, 1, "BadAxis") == "error: axis 'b' needs steps >= 1, got 0"
+
+
+@pytest.mark.parametrize("args", [
+    ("validate", "--rates", str(DATA / "rates_126.json")),
+    ("sweep", "--rates", str(DATA / "rates_cyclic.json"), "--vary", "a:0:1:3",
+     "--vary", "b:0:1:3"),
+])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_out_path_that_cannot_be_opened_is_input_error(tmp_path, args, target):
+    # a missing directory, and a directory in place of the file
+    out = str(tmp_path / target)
+    first = assert_error_lines(run_cli(*args, "--out", out), 1, "ValidationError")
+    assert first.startswith(f"error: cannot write output file {out!r}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_overflow_in_the_last_block_writes_nothing(tmp_path):
     # D ~ a^2 overflows only for a above 1.34e154, in the last of four blocks
     ranges, steps = ((0.0, 1.4e154), (0.0, 1.0)), (20000, 3)

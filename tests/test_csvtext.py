@@ -1,10 +1,12 @@
 """The vectorised CSV float text is byte-for-byte C ``%.17g``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtpme import cli
+from qtpme import cli, csvtext
 
 
 def written(columns, lead=""):
@@ -93,3 +95,25 @@ def test_parts_keep_the_text_width_of_the_first():
     parts = [[np.array([b"M"]), np.ones(1)], [np.array([b"MO"]), np.ones(1)]]
     with pytest.raises(ValueError, match="text column 0 is 2 bytes wide"):
         "".join(cli._csv_blocks(parts))
+
+
+def test_float_text_is_percent_17g_at_the_widest_width():
+    x = np.concatenate([[0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308],
+                        np.linspace(0.0, 5.0, 1000)])
+    expected = np.array([("%.17g" % v).encode("ascii") for v in x.tolist()])
+    text = csvtext.float_text(x)
+    assert text.dtype == expected.dtype
+    assert text.tobytes() == expected.tobytes()
+
+
+def test_float_text_makes_no_object_per_value():
+    # the result, one block's temporaries and the joined copy of the blocks
+    x = np.linspace(0.0, 5.0, 2 * 10**5)
+    csvtext.float_text(x[:10])  # the lookup tables
+    tracemalloc.start()
+    try:
+        text = csvtext.float_text(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * text.nbytes + 2**20

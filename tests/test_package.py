@@ -81,6 +81,16 @@ def test_cli_import_loads_the_traced_modules():
     assert run_python(code) == [True] * len(CLI_MODULES)
 
 
+def test_importtime_reports_every_cli_module():
+    # a submodule loaded by the lazy root gets its own line, not the
+    # importer's self time
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import qtpme.cli"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    reported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {f"qtpme.{m}" for m in CLI_MODULES} <= reported
+
+
 # records the variable as numpy starts to load, which is when OpenBLAS reads it
 MAIN_CODE = (
     "import json, os, sys\n"
@@ -104,3 +114,14 @@ def test_entry_point_sets_thread_timeout_before_numpy():
 def test_entry_point_keeps_a_preset_thread_timeout():
     env = dict(os.environ, OPENBLAS_THREAD_TIMEOUT="30")
     assert run_python(MAIN_CODE, env) == [False, 0, ["30"]]
+
+
+@pytest.mark.parametrize("run, frozen", [
+    (f"import qtpme.__main__ as m\n"
+     f"m.main(['validate', '--rates', {str(DATA / 'rates_cyclic.json')!r}])", True),
+    ("import qtpme.cli", False),
+], ids=["entry point", "import"])
+def test_only_the_entry_point_freezes_the_import_heap(run, frozen):
+    # the collector is on for the command either way
+    code = f"import gc, json\n{run}\nprint(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0]))"
+    assert run_python(code) == [True, frozen]
