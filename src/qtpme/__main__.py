@@ -1,4 +1,9 @@
-"""Entry point of ``python -m qtpme`` and of the installed ``qtpme`` command."""
+"""Entry point of ``python -m qtpme`` and of the installed ``qtpme`` command.
+
+Both run :func:`run`, which runs :func:`main` and then ends the process
+without the interpreter's teardown.  :func:`main` returns the exit code and
+is what tests and embedding programs call.
+"""
 
 import gc
 import os
@@ -33,5 +38,41 @@ def main(argv=None) -> int:
     return cli_main(argv)
 
 
+def _observed() -> bool:
+    """Whether a tracer, a profiler or a ``sys.monitoring`` tool (Python
+    3.12+) is attached: such a tool writes its report at interpreter exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(i) is not None for i in range(6))))
+
+
+def run() -> None:
+    """Run the command line, flush its output and end the process.
+
+    Once the output is flushed a command has nothing left to do, but the
+    interpreter's teardown would still finalise every module and free the
+    import-time heap of numpy, argparse and qtpme object by object: on a
+    2-vCPU machine, 7-8 ms from the end of the command to the process being
+    reaped, against about 2 ms for ``os._exit``.  So the process ends with
+    ``os._exit``, and ``atexit`` hooks (none of this program's) do not run.  Files the
+    command writes are closed by the command itself.  A reader that closes
+    stdout before the final flush ends the command quietly with exit 0, as
+    in :func:`qtpme.cli.main`.  Under a tracer or profiler (``python -m
+    cProfile -m qtpme ...``, coverage) the process exits normally, so the
+    tool can write its report.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,7 +17,6 @@ which for N=3 is the coefficient coupling states 2 and 3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,70 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
+class _Frozen:
+    """Base of the immutable result classes.
+
+    A subclass lists its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, and sets each one with :meth:`_set`.  After
+    that, assigning or deleting an attribute raises ``AttributeError``.
+    ``repr`` names every field, pickling and copying rebuild the object
+    through ``__init__`` (so its checks run again), and equality and hash
+    are by identity.  Plain classes, not dataclasses: generating the
+    dataclass methods cost about 11 ms of every command's start-up (on a
+    2-vCPU machine).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        if "__init__" in vars(cls):
+            # postponed annotations leave the string 'None'; the signature shows
+            # the object, as it did for the dataclasses these classes replace
+            cls.__init__.__annotations__["return"] = None
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenValue(_Frozen):
+    """A :class:`_Frozen` class compared and hashed by its field values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class ProbabilityVector(_Frozen):
     """Nonnegative vector summing to one (within drift tolerances)."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray) -> None:
+        arr = np.asarray(entries, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise BadShape(f"probability vector must be 1-D with >= 2 entries, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -61,7 +116,7 @@ class ProbabilityVector:
         total = arr.sum()
         if abs(total - 1.0) > TOL_SUM:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {TOL_SUM:g}")
-        object.__setattr__(self, "entries", _frozen_array(arr))
+        self._set(entries=_frozen_array(arr))
 
     @property
     def n(self) -> int:
@@ -71,8 +126,7 @@ class ProbabilityVector:
         return np.array(self.entries, dtype=dtype)
 
 
-@dataclass(frozen=True, eq=False)
-class RateMatrix:
+class RateMatrix(_Frozen):
     """Nonnegative transition rates with ``w[dest][src]`` orientation.
 
     The diagonal is identically zero; there is no self-transition rate.
@@ -81,10 +135,10 @@ class RateMatrix:
     checks.
     """
 
-    w: np.ndarray
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.w, dtype=float)
+    def __init__(self, w: np.ndarray) -> None:
+        arr = np.asarray(w, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise BadShape(f"rate matrix must be square with N >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -97,7 +151,7 @@ class RateMatrix:
         if neg.any():
             i, j = np.argwhere(neg)[0]
             raise NegativeRate(int(i) + 1, int(j) + 1, float(arr[i, j]))
-        object.__setattr__(self, "w", _frozen_array(arr))
+        self._set(w=_frozen_array(arr))
 
     @property
     def n(self) -> int:
@@ -139,14 +193,13 @@ class RateMatrix:
         return tuple(self._named(name) for name in COEFF_NAMES)
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
+class Generator(_Frozen):
     """Master-equation operator: off-diagonal rates, columns summing to zero."""
 
-    m: np.ndarray
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float)
+    def __init__(self, m: np.ndarray) -> None:
+        arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise BadShape(f"generator must be square with N >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -163,26 +216,25 @@ class Generator:
         if not worst <= 1e-12 * np.abs(arr).max():
             raise ValidationError(f"generator columns do not sum to zero (max |sum| = {worst:.3e})")
         np.fill_diagonal(off, -off_sums)  # rebuilt: the exact kernel stays within the rank rule
-        object.__setattr__(self, "m", _frozen_array(off))
+        self._set(m=_frozen_array(off))
 
     @property
     def n(self) -> int:
         return self.m.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticEntropy:
+class QuadraticEntropy(_Frozen):
     """Quadratic state function S(p) = p' sigma p / 2 with symmetric sigma."""
 
-    sigma: np.ndarray
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.sigma, dtype=float)
+    def __init__(self, sigma: np.ndarray) -> None:
+        arr = np.asarray(sigma, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise BadShape(f"entropy matrix must be square with N >= 2, got shape {arr.shape}")
         if not np.array_equal(arr, arr.T):
             raise ValidationError("entropy matrix must be exactly symmetric")
-        object.__setattr__(self, "sigma", _frozen_array(arr))
+        self._set(sigma=_frozen_array(arr))
 
     @property
     def n(self) -> int:
@@ -215,6 +267,14 @@ def null_count(s) -> int:
     return int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[0]))
 
 
+def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for finite ``0 <= lo <= hi``.  Near the top
+    of the float range the last point's ``(n-1) * step`` can round up to inf
+    before linspace sets that point to ``hi``; the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, n)
+
+
 def centering_projector(n: int) -> np.ndarray:
     """Orthogonal projector onto the zero-sum subspace: I - J/n."""
     return np.eye(n) - np.full((n, n), 1.0 / n)
@@ -224,8 +284,7 @@ def centering_projector(n: int) -> np.ndarray:
 K3_PATTERN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class QTDecomposition:
+class QTDecomposition(_Frozen):
     """Entropy matrix plus antisymmetric circulation reproducing a generator.
 
     The reconstructed vector field is ``dp/dt = (n*P + k_mat) @ sigma @ p``
@@ -235,14 +294,12 @@ class QTDecomposition:
     ``k_mat = r * K3_PATTERN``.
     """
 
-    entropy: QuadraticEntropy
-    k_mat: np.ndarray
-    r: float | None
-    residual: float
+    __slots__ = ("entropy", "k_mat", "r", "residual")
 
-    def __post_init__(self):
-        k = np.asarray(self.k_mat, dtype=float)
-        n = self.entropy.n
+    def __init__(self, entropy: QuadraticEntropy, k_mat: np.ndarray, r: float | None,
+                 residual: float) -> None:
+        k = np.asarray(k_mat, dtype=float)
+        n = entropy.n
         if k.shape != (n, n):
             raise BadShape(f"k_mat shape {k.shape} does not match entropy dimension {n}")
         scale = max(1.0, np.abs(k).max())
@@ -250,7 +307,7 @@ class QTDecomposition:
             raise ValidationError("k_mat must be antisymmetric")
         if max(np.abs(k.sum(axis=0)).max(), np.abs(k.sum(axis=1)).max()) > 1e-12 * scale:
             raise ValidationError("k_mat row and column sums must vanish")
-        object.__setattr__(self, "k_mat", _frozen_array(k))
+        self._set(entropy=entropy, k_mat=_frozen_array(k), r=r, residual=residual)
 
     @property
     def n(self) -> int:
@@ -261,18 +318,16 @@ class QTDecomposition:
         return self.n * centering_projector(self.n) + self.k_mat
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralInfo:
+class SpectralInfo(_Frozen):
     """Eigenvalues of a generator, sorted by descending real part then
     ascending imaginary part, with the structural zero flagged."""
 
-    eigenvalues: np.ndarray
-    zero_index: int
-    gap: float
-    null_dim: int
+    __slots__ = ("eigenvalues", "zero_index", "gap", "null_dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, dtype=complex))
+    def __init__(self, eigenvalues: np.ndarray, zero_index: int, gap: float,
+                 null_dim: int) -> None:
+        self._set(eigenvalues=_frozen_array(eigenvalues, dtype=complex), zero_index=zero_index,
+                  gap=gap, null_dim=null_dim)
 
 
 class RelaxationKind(enum.Enum):
@@ -281,27 +336,25 @@ class RelaxationKind(enum.Enum):
     BOUNDARY = "B"
 
 
-@dataclass(frozen=True)
-class RelaxationClass:
+class RelaxationClass(_FrozenValue):
     """Verdict on a 3-state relaxation spectrum plus the quantities behind it.
 
     ``discriminant`` is xi^2 - 4q for the nonzero eigenvalue pair of the
     generator; negative values mean a complex pair (oscillatory decay).
     """
 
-    kind: RelaxationKind
-    discriminant: float
-    xi: float
-    eta: float
-    q: float
+    __slots__ = ("kind", "discriminant", "xi", "eta", "q")
+
+    def __init__(self, kind: RelaxationKind, discriminant: float, xi: float, eta: float,
+                 q: float) -> None:
+        self._set(kind=kind, discriminant=discriminant, xi=xi, eta=eta, q=q)
 
     @property
     def code(self) -> str:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class UVWCoordinates:
+class UVWCoordinates(_FrozenValue):
     """Difference coordinates of a 3-state rate matrix.
 
     k_c = e - c, l = f - a, m_c = b - d, omega = (a+d+e) - (b+c+f),
@@ -309,12 +362,11 @@ class UVWCoordinates:
     construction.
     """
 
-    k_c: float
-    l: float
-    m_c: float
-    omega: float
-    u: float
-    v: float
+    __slots__ = ("k_c", "l", "m_c", "omega", "u", "v")
+
+    def __init__(self, k_c: float, l: float, m_c: float, omega: float, u: float,
+                 v: float) -> None:
+        self._set(k_c=k_c, l=l, m_c=m_c, omega=omega, u=u, v=v)
 
 
 def validate_rates(raw) -> RateMatrix:

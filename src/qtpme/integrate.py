@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL_SUM, Generator, ProbabilityVector, QTDecomposition, _frozen_array
+from .core import (
+    TOL_SUM,
+    Generator,
+    ProbabilityVector,
+    QTDecomposition,
+    _Frozen,
+    _frozen_array,
+    uniform_grid,
+)
 from .errors import BadShape, ProbabilityDrift, UnstableStep, ValidationError
 from .pme import eigenvalues
 
@@ -24,8 +31,7 @@ class Method(enum.Enum):
     RK4 = "rk4"
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Frozen):
     """Sampled solution p(t): row ``states[k]`` is the state at ``times[k]``.
 
     The row sums carry whatever drift the integrator produced; they are
@@ -33,13 +39,11 @@ class Trajectory:
     generator shows up here instead of being hidden.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    method: Method
+    __slots__ = ("times", "states", "method")
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+    def __init__(self, times: np.ndarray, states: np.ndarray, method: Method) -> None:
+        times = np.asarray(times, dtype=float)
+        states = np.asarray(states, dtype=float)
         if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size:
             raise BadShape("times must be 1-D and states (T, N) with matching T")
         if not np.all(np.diff(times) > 0.0):
@@ -47,28 +51,24 @@ class Trajectory:
         drift = np.abs(states.sum(axis=1) - 1.0).max()
         if not drift <= TOL_SUM:
             raise ProbabilityDrift(drift, TOL_SUM)
-        object.__setattr__(self, "times", _frozen_array(times))
-        object.__setattr__(self, "states", _frozen_array(states))
+        self._set(times=_frozen_array(times), states=_frozen_array(states), method=method)
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class MonitorSeries:
+class MonitorSeries(_Frozen):
     """Conserved total, quadratic entropy (when available), and the
     Boltzmann-Shannon entropy along a trajectory."""
 
-    h_vals: np.ndarray
-    s_vals: np.ndarray | None
-    s_bs_vals: np.ndarray
+    __slots__ = ("h_vals", "s_vals", "s_bs_vals")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h_vals", _frozen_array(self.h_vals))
-        if self.s_vals is not None:
-            object.__setattr__(self, "s_vals", _frozen_array(self.s_vals))
-        object.__setattr__(self, "s_bs_vals", _frozen_array(self.s_bs_vals))
+    def __init__(self, h_vals: np.ndarray, s_vals: np.ndarray | None,
+                 s_bs_vals: np.ndarray) -> None:
+        self._set(h_vals=_frozen_array(h_vals),
+                  s_vals=None if s_vals is None else _frozen_array(s_vals),
+                  s_bs_vals=_frozen_array(s_bs_vals))
 
 
 def integrate(
@@ -108,7 +108,7 @@ def integrate(
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(f"t_end (--t-end) must be finite and positive, got {t_end}")
-    times = np.linspace(0.0, t_end, steps + 1)
+    times = uniform_grid(0.0, t_end, steps + 1)
     if not np.all(np.diff(times) > 0.0):
         raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
                               "is too small to give strictly increasing times")
@@ -193,17 +193,23 @@ def _check_rk4_stability(eigvals: np.ndarray, t_end: float, steps: int) -> None:
     smallest stable count is found by bisection.  Every such interval
     reaches past |z| = 2.6, which gives a stable upper bracket.
     """
+    # Step counts are exact integers and may pass the float range (a huge
+    # t_end), so h = t_end/count and the bracket come from integer ratios.
+    t_num, t_den = float(t_end).as_integer_ratio()
+
     def amplification(count):
-        z = (t_end / count) * eigvals
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: unstable
+            z = (t_num / (t_den * count)) * eigvals
             amp = np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
         return float(np.nan_to_num(amp, nan=np.inf, posinf=np.inf).max())
 
     worst = amplification(steps)
     if worst <= 1.0 + RK4_STABILITY_SLACK:
         return
+    lam_num, lam_den = float(np.abs(eigvals).max()).as_integer_ratio()
     lo = steps
-    hi = max(steps + 1, int(np.ceil(t_end * float(np.abs(eigvals).max()) / 2.6)))
+    # ceil(t_end * max|lambda| / 2.6), with 2.6 = 13/5
+    hi = max(steps + 1, -(-5 * t_num * lam_num // (13 * t_den * lam_den)))
     while amplification(hi) > 1.0 + RK4_STABILITY_SLACK:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:

@@ -11,7 +11,6 @@ balanced rate sums no oscillatory region exists at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,9 @@ from .core import (
     RelaxationClass,
     RelaxationKind,
     UVWCoordinates,
+    _Frozen,
     _frozen_array,
+    uniform_grid,
     unit_scaled,
 )
 from .errors import BadAxis, BadShape, ValidationError
@@ -38,29 +39,28 @@ _LETTERS = np.array(["O", "B", "M"])
 _BLOCK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMap:
+class RegionMap(_Frozen):
     """Grid of relaxation classes over two varied rate coefficients.
 
     ``classes[i][j]`` and ``discriminants[i][j]`` describe the cell at
     ``grid1[i]``, ``grid2[j]``; class codes are 'M', 'O', 'B'.
     """
 
-    axis1: str
-    axis2: str
-    grid1: np.ndarray
-    grid2: np.ndarray
-    classes: np.ndarray
-    discriminants: np.ndarray
-    fraction_oscillatory: float
+    __slots__ = ("axis1", "axis2", "grid1", "grid2", "classes", "discriminants",
+                 "fraction_oscillatory")
 
-    def __post_init__(self):
-        if self.classes.shape != (self.grid1.size, self.grid2.size):
+    def __init__(self, axis1: str, axis2: str, grid1: np.ndarray, grid2: np.ndarray,
+                 classes: np.ndarray, discriminants: np.ndarray,
+                 fraction_oscillatory: float) -> None:
+        if classes.shape != (grid1.size, grid2.size):
             raise BadShape("classes shape does not match the grids")
-        if not 0.0 <= self.fraction_oscillatory <= 1.0:
+        if not 0.0 <= fraction_oscillatory <= 1.0:
             raise ValidationError("fraction_oscillatory must lie in [0, 1]")
-        for name in ("grid1", "grid2", "classes", "discriminants"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype=None))
+        self._set(axis1=axis1, axis2=axis2, grid1=_frozen_array(grid1, dtype=None),
+                  grid2=_frozen_array(grid2, dtype=None),
+                  classes=_frozen_array(classes, dtype=None),
+                  discriminants=_frozen_array(discriminants, dtype=None),
+                  fraction_oscillatory=fraction_oscillatory)
 
 
 def discriminant_values(a, b, c, d, e, f):
@@ -173,8 +173,8 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
         if steps < 1:
             raise BadAxis(f"axis {axis!r} needs steps >= 1, got {steps}")
 
-    grid1 = np.linspace(lo1, hi1, steps1)
-    grid2 = np.linspace(lo2, hi2, steps2)
+    grid1 = uniform_grid(lo1, hi1, steps1)
+    grid2 = uniform_grid(lo2, hi2, steps2)
     # The fixed coefficients stay scalars and the axes broadcast, so only
     # the formula's intermediates, at unit size, take the block's shape.
     values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}

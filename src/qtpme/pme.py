@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -11,6 +9,7 @@ from .core import (
     ProbabilityVector,
     RateMatrix,
     SpectralInfo,
+    _Frozen,
     generator_from_rates,
     null_count,
     unit_scaled,
@@ -23,8 +22,7 @@ STRUCTURE_RTOL = 1e-12
 STATIONARY_BOUND = np.finfo(float).eps / 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class StructureReport:
+class StructureReport(_Frozen):
     """Symmetry-related structural flags of a rate matrix.
 
     ``symmetric`` implies ``doubly_stochastic`` implies a uniform stationary
@@ -32,11 +30,12 @@ class StructureReport:
     state and implies a purely real relaxation spectrum.
     """
 
-    symmetric: bool
-    doubly_stochastic: bool
-    detailed_balance: bool
-    stationary: ProbabilityVector
-    null_dim: int
+    __slots__ = ("symmetric", "doubly_stochastic", "detailed_balance", "stationary", "null_dim")
+
+    def __init__(self, symmetric: bool, doubly_stochastic: bool, detailed_balance: bool,
+                 stationary: ProbabilityVector, null_dim: int) -> None:
+        self._set(symmetric=symmetric, doubly_stochastic=doubly_stochastic,
+                  detailed_balance=detailed_balance, stationary=stationary, null_dim=null_dim)
 
 
 def scaled_singular_values(g: Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbabilityVector, RateMatrix, _frozen_array
+from .core import (
+    ProbabilityVector,
+    RateMatrix,
+    _Frozen,
+    _FrozenValue,
+    _frozen_array,
+    uniform_grid,
+)
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -25,35 +31,28 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class YDParams:
+class YDParams(_FrozenValue):
     """Arousal-independent model rates (all per unit time; a1 and f1 per
     arousal unit)."""
 
-    a1: float
-    f1: float
-    d: float
-    e: float
+    __slots__ = ("a1", "f1", "d", "e")
 
-    def __post_init__(self):
-        for name in ("a1", "f1", "d", "e"):
-            value = getattr(self, name)
+    def __init__(self, a1: float, f1: float, d: float, e: float) -> None:
+        for name, value in (("a1", a1), ("f1", f1), ("d", d), ("e", e)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        self._set(a1=a1, f1=f1, d=d, e=e)
 
 
-@dataclass(frozen=True, eq=False)
-class YDCurve:
+class YDCurve(_Frozen):
     """Stationary occupations sampled over an arousal grid."""
 
-    k_grid: np.ndarray
-    rho1: np.ndarray
-    rho2: np.ndarray
-    rho3: np.ndarray
+    __slots__ = ("k_grid", "rho1", "rho2", "rho3")
 
-    def __post_init__(self):
-        for name in ("k_grid", "rho1", "rho2", "rho3"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+    def __init__(self, k_grid: np.ndarray, rho1: np.ndarray, rho2: np.ndarray,
+                 rho3: np.ndarray) -> None:
+        self._set(k_grid=_frozen_array(k_grid), rho1=_frozen_array(rho1),
+                  rho2=_frozen_array(rho2), rho3=_frozen_array(rho3))
 
 
 def yd_rates(params: YDParams, k: float) -> RateMatrix:
@@ -157,7 +156,7 @@ def _curve_blocks(params: YDParams, k_min: float, k_max: float, steps: int):
         raise ValidationError(f"need finite 0 <= k_min < k_max, got ({k_min}, {k_max})")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
-    k_grid = np.linspace(k_min, k_max, steps)
+    k_grid = uniform_grid(k_min, k_max, steps)
 
     def blocks():
         for start in range(0, steps, _BLOCK_POINTS):
@@ -226,24 +225,31 @@ def yd_optimal_arousal(params: YDParams) -> float:
     formed with exact power-of-two scaling, so only an optimum outside the
     float range is an error (:class:`ValidationError`).
     """
+    return math.ldexp(*_optimum(params))
+
+
+def _optimum(params: YDParams) -> tuple[float, int]:
+    """The optimal arousal as ``(r, q)`` with ``k_opt = r * 2**q``, checked
+    to be a double; see :func:`yd_optimal_arousal`."""
     if params.a1 == 0.0 or params.f1 == 0.0:
         raise ZeroRateProduct(
             f"a1*f1 = 0 (a1={params.a1}, f1={params.f1}); rho3(k) has no interior maximum"
         )
     de, de_exp = _product(params.d, params.e)
     af, af_exp = _product(params.a1, params.f1)
-    return _as_float(*_sqrt(de / af, de_exp - af_exp), "optimal arousal sqrt(d*e / (a1*f1))")
+    root, exp = _sqrt(de / af, de_exp - af_exp)
+    _as_float(root, exp, "optimal arousal sqrt(d*e / (a1*f1))")
+    return root, exp
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_FrozenValue):
     """Both sides of the balanced-training condition and the rate-sum
     imbalance at optimal arousal (zero exactly when the condition holds)."""
 
-    lhs: float
-    rhs: float
-    satisfied: bool
-    omega_at_kopt: float
+    __slots__ = ("lhs", "rhs", "satisfied", "omega_at_kopt")
+
+    def __init__(self, lhs: float, rhs: float, satisfied: bool, omega_at_kopt: float) -> None:
+        self._set(lhs=lhs, rhs=rhs, satisfied=satisfied, omega_at_kopt=omega_at_kopt)
 
 
 def yd_consistency(params: YDParams, tol: float = 1e-9) -> ConsistencyReport:
@@ -266,19 +272,22 @@ def yd_consistency(params: YDParams, tol: float = 1e-9) -> ConsistencyReport:
     root_af, af_exp = _sqrt(*_product(a1, f1))
     lhs = (_ldexp(d, -de_exp) + _ldexp(e, -de_exp)) / root_de
     rhs = (_ldexp(f1, -af_exp) - _ldexp(a1, -af_exp)) / root_af
-    k_opt = yd_optimal_arousal(params)
-    omega = (a1 * k_opt + d + e) - f1 * k_opt
+    # omega = (a1*k_opt + d + e) - f1*k_opt with every term scaled exactly
+    # by 2**-de_exp, so that subnormal rates keep their digits
+    k, k_exp = _optimum(params)
+    a_s, f_s = (_ldexp(m, p + k_exp - de_exp) for m, p in (_product(a1, k), _product(f1, k)))
+    omega_s = (a_s + _ldexp(d, -de_exp) + _ldexp(e, -de_exp)) - f_s
+    omega = _ldexp(omega_s, de_exp)
     if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(omega)):
         raise ValidationError(
             f"consistency terms overflow a double (lhs={lhs}, rhs={rhs}, omega={omega})"
         )
     scale = max(1.0, abs(lhs), abs(rhs))
-    sqrt_de = math.ldexp(root_de, de_exp)
-    mismatch = abs(omega - sqrt_de * (lhs - rhs))
-    if mismatch > tol * scale * sqrt_de:
+    mismatch = abs(omega_s / root_de - (lhs - rhs))  # in units of sqrt(de)
+    if mismatch > tol * scale:
         raise QtpmeError(
             f"internal cross-check failed: omega(k_opt) differs from "
-            f"sqrt(de)*(lhs-rhs) by {mismatch:.3e}"
+            f"sqrt(de)*(lhs-rhs) by {mismatch:.3e} sqrt(de)"
         )
     satisfied = abs(lhs - rhs) <= tol * scale
     return ConsistencyReport(lhs=lhs, rhs=rhs, satisfied=satisfied, omega_at_kopt=omega)

@@ -1,4 +1,8 @@
+import copy
+import enum
+import inspect
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtpme import (
+    Generator,
     ProbabilityVector,
     QTDecomposition,
     QuadraticEntropy,
@@ -15,7 +20,12 @@ from qtpme import (
     rate_matrix_to_json,
     validate_rates,
 )
+from qtpme.core import RelaxationClass, RelaxationKind, SpectralInfo, UVWCoordinates
 from qtpme.errors import BadShape, NegativeRate, NonzeroDiagonal, ValidationError
+from qtpme.integrate import Method, MonitorSeries, Trajectory
+from qtpme.monotonicity import RegionMap
+from qtpme.pme import StructureReport
+from qtpme.yd import ConsistencyReport, YDCurve, YDParams
 
 from conftest import random_rate_matrix
 
@@ -215,3 +225,96 @@ def test_rate_document_rejects_fractional_n():
     for n in (2.7, 2.0, True):
         with pytest.raises(ValidationError, match="not an integer"):
             rate_matrix_from_json({"n": n, "rates": [[0, 1], [1, 0]]})
+
+
+# -- result-class contract ----------------------------------------------------
+
+_HALF = np.array([0.5, 0.5])
+_ARRAY = "'np.ndarray'"
+
+#: each result class, its signature as recorded from the dataclass it
+#: replaced, and constructor arguments
+RESULT_CLASSES = [pytest.param(cls, signature, args, id=cls.__name__) for cls, signature, args in [
+    (ProbabilityVector, f"(entries: {_ARRAY}) -> None", (np.array([0.25, 0.75]),)),
+    (RateMatrix, f"(w: {_ARRAY}) -> None", (np.array([[0.0, 1.0], [2.0, 0.0]]),)),
+    (Generator, f"(m: {_ARRAY}) -> None", (np.array([[-2.0, 1.0], [2.0, -1.0]]),)),
+    (QuadraticEntropy, f"(sigma: {_ARRAY}) -> None", (np.diag([-1.0, -3.0]),)),
+    (QTDecomposition,
+     f"(entropy: 'QuadraticEntropy', k_mat: {_ARRAY}, r: 'float | None', residual: 'float') "
+     "-> None",
+     (QuadraticEntropy(np.array([[-1.0, 0.5], [0.5, -2.0]])), np.zeros((2, 2)), None, 1e-16)),
+    (SpectralInfo,
+     f"(eigenvalues: {_ARRAY}, zero_index: 'int', gap: 'float', null_dim: 'int') -> None",
+     (np.array([0.0, -3.0]), 0, 3.0, 1)),
+    (RelaxationClass,
+     "(kind: 'RelaxationKind', discriminant: 'float', xi: 'float', eta: 'float', q: 'float') "
+     "-> None",
+     (RelaxationKind.MONOTONIC, 1.0, 2.0, 0.5, 0.75)),
+    (UVWCoordinates,
+     "(k_c: 'float', l: 'float', m_c: 'float', omega: 'float', u: 'float', v: 'float') "
+     "-> None",
+     (1.0, 2.0, 3.0, -4.0, 5.0, 6.0)),
+    (Trajectory, f"(times: {_ARRAY}, states: {_ARRAY}, method: 'Method') -> None",
+     (np.array([0.0, 1.0]), np.array([[1.0, 0.0], _HALF]), Method.EXACT)),
+    (MonitorSeries,
+     f"(h_vals: {_ARRAY}, s_vals: 'np.ndarray | None', s_bs_vals: {_ARRAY}) -> None",
+     (np.ones(2), None, np.array([0.0, 0.69]))),
+    (RegionMap,
+     f"(axis1: 'str', axis2: 'str', grid1: {_ARRAY}, grid2: {_ARRAY}, classes: {_ARRAY}, "
+     f"discriminants: {_ARRAY}, fraction_oscillatory: 'float') -> None",
+     ("a", "e", np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.full((2, 3), "M"),
+      np.arange(6.0).reshape(2, 3), 0.0)),
+    (StructureReport,
+     "(symmetric: 'bool', doubly_stochastic: 'bool', detailed_balance: 'bool', "
+     "stationary: 'ProbabilityVector', null_dim: 'int') -> None",
+     (True, True, True, ProbabilityVector(_HALF), 1)),
+    (YDParams, "(a1: 'float', f1: 'float', d: 'float', e: 'float') -> None",
+     (1.0, 2.0, 3.0, 4.0)),
+    (YDCurve, f"(k_grid: {_ARRAY}, rho1: {_ARRAY}, rho2: {_ARRAY}, rho3: {_ARRAY}) -> None",
+     (np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.array([0.0, 0.25]),
+      np.array([0.0, 0.25]))),
+    (ConsistencyReport,
+     "(lhs: 'float', rhs: 'float', satisfied: 'bool', omega_at_kopt: 'float') -> None",
+     (2.0, 2.0, True, 0.0)),
+]]
+
+
+#: the result classes compared and hashed by value; the others by identity
+VALUE_CLASSES = {"RelaxationClass", "UVWCoordinates", "YDParams", "ConsistencyReport"}
+
+
+def _same(a, b):
+    """Equal types and field values, recursively, arrays by value and dtype."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if type(a).__module__.startswith("qtpme.") and not isinstance(a, enum.Enum):
+        return type(a) is type(b) and all(
+            _same(getattr(a, name), getattr(b, name)) for name in _fields(type(a)))
+    return a == b
+
+
+def _fields(cls):
+    return list(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls, signature, args", RESULT_CLASSES)
+def test_result_class_contract(cls, signature, args):
+    assert str(inspect.signature(cls)) == signature
+    obj = cls(*args)
+    names = _fields(cls)
+    assert cls.__match_args__ == tuple(names)
+    for name in names + ["not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert all(f"{name}=" in repr(obj) for name in names)
+    twin = cls(*args)
+    if cls.__name__ in VALUE_CLASSES:
+        assert obj == twin and hash(obj) == hash(twin)
+        assert obj != cls(*args[:-1], args[-1] + 1.0)
+    else:
+        assert obj != twin and obj == obj
+        assert hash(obj) == object.__hash__(obj)
+    for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert again is not obj and _same(again, obj)

@@ -125,3 +125,81 @@ def test_only_the_entry_point_freezes_the_import_heap(run, frozen):
     # the collector is on for the command either way
     code = f"import gc, json\n{run}\nprint(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0]))"
     assert run_python(code) == [True, frozen]
+
+
+def test_cli_import_loads_no_dataclasses():
+    code = "import json, sys, qtpme.cli\nprint(json.dumps('dataclasses' in sys.modules))"
+    assert run_python(code) is False
+
+
+def run_qtpme(*args, prefix=()):
+    return subprocess.run([sys.executable, *prefix, "-m", "qtpme", *args], capture_output=True)
+
+
+def test_module_run_writes_the_golden_bytes():
+    proc = run_qtpme("validate", "--rates", str(DATA / "rates_126.json"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (DATA / "golden" / "validate.json").read_bytes()
+
+
+def test_module_run_exit_codes(tmp_path):
+    proc = run_qtpme("validate", "--rates", str(tmp_path / "missing.json"))
+    assert proc.returncode == 1 and b'"error": "ValidationError"' in proc.stderr
+    reducible = tmp_path / "reducible.json"
+    reducible.write_text('{"rates": [[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]}')
+    proc = run_qtpme("structure", "--rates", str(reducible))
+    assert proc.returncode == 2 and b'"error": "NonUniqueStationary"' in proc.stderr
+
+
+def test_reader_that_leaves_early_gets_exit_zero():
+    proc = subprocess.Popen([sys.executable, "-m", "qtpme", "sweep", "--rates",
+                             str(DATA / "rates_cyclic.json"), "--vary", "a:0:5:300",
+                             "--vary", "e:0:5:300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), head, stderr) == (0, b"a,e,class,", b"")
+
+
+def test_stdout_closed_before_the_final_flush_gets_exit_zero():
+    # validate's few bytes stay buffered until the entry point's own flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qtpme", "validate", "--rates",
+                               str(DATA / "rates_cyclic.json")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_profiler_still_reports():
+    proc = run_qtpme("validate", "--rates", str(DATA / "rates_cyclic.json"),
+                     prefix=("-m", "cProfile"))
+    assert proc.returncode == 0, proc.stderr
+    assert b"function calls" in proc.stdout
+
+
+# runs the module as ``python -m qtpme`` does, after registering an atexit hook
+ATEXIT_CODE = (
+    "import atexit, runpy, sys\n"
+    "{setup}\n"
+    "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+    f"sys.argv = ['qtpme', 'validate', '--rates', {str(DATA / 'rates_cyclic.json')!r}]\n"
+    "runpy.run_module('qtpme', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("setup, teardown", [
+    ("", False),
+    ("sys.settrace(lambda *args: None)", True),
+], ids=["plain", "traced"])
+def test_process_ends_without_teardown_unless_traced(setup, teardown):
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_CODE.format(setup=setup)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('{"n": 3')
+    assert (proc.stderr == "atexit ran\n") is teardown, proc.stderr
