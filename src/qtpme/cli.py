@@ -25,13 +25,14 @@ from itertools import chain
 import numpy as np
 
 from . import monotonicity, pme, qt, yd
-from .integrate import Method, integrate, monitor
+from .integrate import Method, _monitor_rows, _propagate_blocks
 from .core import (
     COEFF_NAMES,
     ProbabilityVector,
     RateMatrix,
     rate_matrix_from_json,
     rate_matrix_to_json,
+    uniform_grid,
 )
 from .errors import (
     BadAxis,
@@ -173,26 +174,30 @@ def _cmd_simulate(args) -> int:
     w = _load_rates(args.rates)
     g = pme.generator_from_rates(w)
     p0 = _parse_p0(args.p0)
-    traj = integrate(g, p0, args.t_end, args.steps, Method(args.method))
+    t_end, steps = args.t_end, args.steps
+    blocks = _propagate_blocks(g, p0, t_end, steps, Method(args.method))
+    _check(blocks)
 
-    header = ["t"] + [f"p{i + 1}" for i in range(traj.n)]
-    columns = [traj.times] + [traj.states[:, i] for i in range(traj.n)]
+    header = ["t"] + [f"p{i + 1}" for i in range(g.n)]
+    monitor_rows = None
     if args.monitor:
-        decomposition = None
+        sigma = None
         try:
-            decomposition = qt.decompose(w)
+            sigma = qt.decompose(w).entropy.sigma
         except (NoConvergence, ValidationError) as exc:
             sys.stderr.write(f"warning: no decomposition for S column ({exc})\n")
-        series = monitor(traj, decomposition)
-        header.append("H")
-        columns.append(series.h_vals)
-        if series.s_vals is not None:
-            header.append("S")
-            columns.append(series.s_vals)
-        header.append("S_BS")
-        columns.append(series.s_bs_vals)
+        header += ["H", "S_BS"] if sigma is None else ["H", "S", "S_BS"]
+        monitor_rows = _monitor_rows(sigma, g.n)
 
-    _write(chain([",".join(header) + "\n"], _csv_blocks([columns])), args.out)
+    def parts():
+        for rows, states in blocks():
+            times = uniform_grid(0.0, t_end, steps + 1, rows.start, rows.stop)
+            columns = [times, *states.T]
+            if monitor_rows is not None:
+                columns += monitor_rows(states)
+            yield columns
+
+    _write(chain([",".join(header) + "\n"], _csv_blocks(parts())), args.out)
     return _EXIT_OK
 
 
@@ -266,10 +271,9 @@ def _cmd_yd_curve(args) -> int:
                                       "is outside the float range; give --k-max")
         else:
             k_max = 10.0
-    k_grid, blocks = yd._curve_blocks(params, args.k_min, k_max, args.steps)
+    blocks = yd._curve_blocks(params, args.k_min, k_max, args.steps)
     _check(blocks)
-    parts = ([k_grid[part], *rho] for part, *rho in blocks())
-    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(parts)), args.out)
+    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(blocks())), args.out)
     return _EXIT_OK
 
 

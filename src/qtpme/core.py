@@ -26,6 +26,12 @@ from .errors import BadShape, NegativeRate, NonzeroDiagonal, ValidationError
 TOL_P = 1e-12
 #: tolerated deviation from 1 of the sum of a probability vector or trajectory state
 TOL_SUM = 1e-9
+#: the largest step or grid count accepted (``simulate --steps``, the
+#: ``sweep --vary`` steps, ``yd curve --steps``), checked before anything is
+#: allocated.  Streamed tables need no memory per step; what still grows
+#: with a count is a ``sweep`` axis, held whole with its ``%.17g`` text at
+#: about 50 bytes a point, so 2**24 keeps the widest axis under 1 GiB.
+MAX_COUNT = 1 << 24
 
 _N3_COEFF_INDEX = {
     "a": (1, 0), "b": (2, 0), "c": (0, 1),
@@ -66,6 +72,19 @@ class _Frozen:
     def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _adopt(cls, **fields):
+        """An instance holding every field as given, its arrays made
+        read-only in place, without ``__init__``'s checks and copies: the
+        private path for arrays that a builder has just made, checked, and
+        handed to no one else."""
+        self = object.__new__(cls)
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self._set(**fields)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
@@ -113,7 +132,8 @@ class ProbabilityVector(_Frozen):
             raise ValidationError(
                 f"probability entry {arr.min()!r} below -{TOL_P:g}"
             )
-        total = arr.sum()
+        with np.errstate(over="ignore"):  # an overflowed sum fails the check
+            total = arr.sum()
         if abs(total - 1.0) > TOL_SUM:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {TOL_SUM:g}")
         self._set(entries=_frozen_array(arr))
@@ -267,12 +287,35 @@ def null_count(s) -> int:
     return int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[0]))
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` for finite ``0 <= lo <= hi``.  Near the top
-    of the float range the last point's ``(n-1) * step`` can round up to inf
-    before linspace sets that point to ``hi``; the overflow is not reported."""
+def check_count(count: int, what: str, error=ValidationError) -> None:
+    """Raise ``error`` naming ``what`` when ``count`` exceeds ``MAX_COUNT``."""
+    if count > MAX_COUNT:
+        raise error(f"{what} must be at most {MAX_COUNT} (2**24), got {count}")
+
+
+def uniform_grid(lo: float, hi: float, n: int, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
+    """Points ``start:stop`` (default: all) of ``np.linspace(lo, hi, n)``
+    for finite ``0 <= lo <= hi``, by linspace's own formula, so that a grid
+    built a block at a time has the bytes of the whole: point ``k`` is
+    ``k * step + lo`` with ``step = (hi - lo) / (n - 1)``, or
+    ``k / (n - 1) * (hi - lo) + lo`` where that step underflows to zero, and
+    the last point is ``hi``.  Near the top of the float range the last
+    point's ``(n-1) * step`` can round up to inf before it is set to ``hi``;
+    the overflow is not reported."""
+    stop = n if stop is None else stop
+    y = np.arange(start, stop, dtype=float)
+    div, delta = n - 1, hi - lo
     with np.errstate(over="ignore"):
-        return np.linspace(lo, hi, n)
+        if div > 0 and delta / div == 0.0:
+            y /= div
+            y *= delta
+        else:
+            y *= delta / div if div > 0 else delta
+        y += lo
+    if stop == n > 1 and y.size:
+        y[-1] = hi
+    return y
 
 
 def centering_projector(n: int) -> np.ndarray:

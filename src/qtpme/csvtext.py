@@ -230,21 +230,24 @@ def float_text(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of each float of the 1-D ``values``, as a
     fixed-width bytes array as wide as the longest text.
 
-    Each block of CSV lines becomes a fixed-width array of its own widest
-    line by one masked scatter of its bytes, and the blocks are joined
-    once, so no Python object is made per value.
+    Each block of CSV lines is scattered, by one mask of its bytes, straight
+    into its rows of one zeroed result of ``_LONGEST`` bytes per value, so
+    no Python object is made per value and the text is held once.  The
+    array returned views the first bytes of each row: unless some text is
+    ``_LONGEST`` bytes long it is not contiguous.
     """
-    parts = [np.empty(0, "S1")]
-    for text in blocks([[np.asarray(values, float)]], "", max(1, len(values))):
+    values = np.asarray(values, float)
+    field = np.zeros((values.size, _LONGEST), np.uint8)
+    width, at = 1, 0
+    for text in blocks([[values]], "", max(1, values.size)):
         raw = np.frombuffer(text.encode("ascii"), np.uint8)
         newline = raw == ord("\n")
         ends = np.flatnonzero(newline)
         lengths = np.diff(ends, prepend=-1) - 1
-        width = int(lengths.max())
-        field = np.zeros((ends.size, width), np.uint8)
-        field[np.arange(width) < lengths[:, None]] = raw[~newline]
-        parts.append(field.view(f"S{width}")[:, 0])
-    return np.concatenate(parts)
+        width = max(width, int(lengths.max()))
+        field[at:at + ends.size][np.arange(_LONGEST) < lengths[:, None]] = raw[~newline]
+        at += ends.size
+    return field[:, :width].view(f"S{width}")[:, 0]
 
 
 def _as_text(column) -> np.ndarray:

@@ -13,6 +13,7 @@ from .core import (
     QTDecomposition,
     _Frozen,
     _frozen_array,
+    check_count,
     uniform_grid,
 )
 from .errors import BadShape, ProbabilityDrift, UnstableStep, ValidationError
@@ -71,6 +72,11 @@ class MonitorSeries(_Frozen):
                   s_bs_vals=_frozen_array(s_bs_vals))
 
 
+#: rows per block of a trajectory: the first block is built by doubling and
+#: each later one is the block before advanced by T^_BLOCK_ROWS
+_BLOCK_ROWS = 1 << 12
+
+
 def integrate(
     g: Generator,
     p0: ProbabilityVector,
@@ -83,18 +89,20 @@ def integrate(
     ``Method.EXACT`` applies the one-step matrix ``T = exp(h*m)`` (see
     :func:`_step_matrix`), which needs no spectrum and so works alike for
     defective, boundary-class and stiff generators; state ``k`` is
-    ``T^k p0``, built by doubling.  ``Method.RK4`` takes fixed classical
-    Runge-Kutta steps: one step is the stability polynomial ``R(h*m)``
-    (see :func:`_taylor`), applied by the same doubling.  Neither
-    renormalizes the state: sum drift is reported by the trajectory
-    invariant, not repaired.
+    ``T^k p0``.  ``Method.RK4`` takes fixed classical Runge-Kutta steps:
+    one step is the stability polynomial ``R(h*m)`` (see :func:`_taylor`),
+    applied the same way.  The first ``_BLOCK_ROWS`` states are built by
+    doubling, and each later block of as many states is the block before
+    advanced by ``T^_BLOCK_ROWS`` (see :func:`_propagate_blocks`).  Neither
+    method renormalizes the state: sum drift is reported, not repaired.
 
     Raises
     ------
     ValidationError
-        When ``t_end`` is not finite and positive, or ``t_end/steps`` is
-        too small to give strictly increasing times; in RK4 mode when an
-        eigenvalue of the generator overflows.
+        When ``steps`` is below 1 or above ``core.MAX_COUNT``, ``t_end``
+        is not finite and positive, or ``t_end/steps`` is too small to give
+        strictly increasing times; in RK4 mode when an eigenvalue of the
+        generator overflows.
     UnstableStep
         In RK4 mode when the step lies outside the stability region for
         some generator eigenvalue; the error names the smallest stable
@@ -102,16 +110,39 @@ def integrate(
     ProbabilityDrift
         When the row sums drift from 1 by more than ``TOL_SUM``.
     """
+    blocks = _propagate_blocks(g, p0, t_end, steps, method)
+    states = np.empty((steps + 1, g.n))
+    for rows, block in blocks():
+        states[rows] = block
+    return Trajectory._adopt(times=uniform_grid(0.0, t_end, steps + 1), states=states,
+                             method=method)
+
+
+def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: int,
+                      method: Method):
+    """Validate a trajectory as :func:`integrate` does and return a function
+    whose every call propagates it anew, yielding ``(rows, states)`` per
+    block of ``_BLOCK_ROWS`` rows: the block's slice of the trajectory and
+    its states, in a buffer that the next block reuses.  A block whose row
+    sums drift from 1 by more than ``TOL_SUM`` raises
+    :class:`ProbabilityDrift`.  The times are checked here, before any step
+    matrix is built; point ``k`` of ``uniform_grid(0, t_end, steps + 1)``
+    is the time of row ``k``.
+    """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    check_count(steps, "steps (--steps)")
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(f"t_end (--t-end) must be finite and positive, got {t_end}")
-    times = uniform_grid(0.0, t_end, steps + 1)
-    if not np.all(np.diff(times) > 0.0):
-        raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
-                              "is too small to give strictly increasing times")
+    last = -np.inf
+    for start in range(0, steps + 1, _BLOCK_ROWS):
+        times = uniform_grid(0.0, t_end, steps + 1, start, min(start + _BLOCK_ROWS, steps + 1))
+        if not (times[0] > last and np.all(times[1:] > times[:-1])):
+            raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
+                                  "is too small to give strictly increasing times")
+        last = times[-1]
     h = t_end / steps
     if method is Method.EXACT:
         power, floor = _step_matrix(g.m, h), 0.0
@@ -124,17 +155,32 @@ def integrate(
     else:
         raise ValidationError(f"unknown method {method!r}")
 
-    # Rows [k, 2k) are rows [0, k) advanced by T^k; T^k then squares.
-    states = np.empty((steps + 1, g.n))
-    states[0] = p0.entries
+    # Rows [k, 2k) are rows [0, k) advanced by T^k; T^k then squares, and
+    # its last square, T^B, advances every later block of B rows.
+    first = np.empty((min(steps + 1, _BLOCK_ROWS), g.n))
+    first[0] = p0.entries
     k = 1
-    while k <= steps:
+    while k < first.shape[0]:
         power = _conserving(power, floor)
-        count = min(k, steps + 1 - k)
-        states[k:k + count] = states[:count] @ power.T
+        count = min(k, first.shape[0] - k)
+        first[k:k + count] = first[:count] @ power.T
         power = power @ power
         k *= 2
-    return Trajectory(times=times, states=states, method=method)
+    advance = _conserving(power, floor).T
+    buffers = np.empty((2,) + first.shape)
+
+    def blocks():
+        block = first
+        for start in range(0, steps + 1, _BLOCK_ROWS):
+            if start:
+                nxt = buffers[start // _BLOCK_ROWS % 2, :min(_BLOCK_ROWS, steps + 1 - start)]
+                block = np.matmul(block[:nxt.shape[0]], advance, out=nxt)
+            drift = np.abs(block.sum(axis=1) - 1.0).max()
+            if not drift <= TOL_SUM:
+                raise ProbabilityDrift(drift, TOL_SUM)
+            yield slice(start, start + block.shape[0]), block
+
+    return blocks
 
 
 def _conserving(t: np.ndarray, floor: float) -> np.ndarray:
@@ -226,18 +272,54 @@ def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSerie
 
     h is the plain probability sum; the quadratic entropy p' sigma p / 2 is
     filled in when a decomposition is supplied; the Boltzmann-Shannon
-    entropy uses the convention 0 * log 0 = 0.
+    entropy uses the convention 0 * log 0 = 0.  See :func:`_monitor_rows`.
     """
-    states = traj.states
-    h_vals = states.sum(axis=1)
-    s_vals = None
+    sigma = None
     if qt is not None:
         if qt.n != traj.n:
             raise BadShape(f"decomposition dimension {qt.n} does not match trajectory {traj.n}")
-        s_vals = 0.5 * np.einsum("ti,ij,tj->t", states, qt.entropy.sigma, states)
-    positive = states > 0.0
-    s_bs_vals = -np.sum(np.where(positive, states * np.log(np.where(positive, states, 1.0)), 0.0), axis=1)
-    return MonitorSeries(h_vals=h_vals, s_vals=s_vals, s_bs_vals=s_bs_vals)
+        sigma = qt.entropy.sigma
+    values = np.empty((3, traj.times.size))
+    rows_of = _monitor_rows(sigma, traj.n)
+    for start in range(0, traj.times.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        rows_of(traj.states[rows], values[:, rows])
+    return MonitorSeries._adopt(h_vals=values[0], s_vals=None if sigma is None else values[1],
+                                s_bs_vals=values[2])
+
+
+def _monitor_rows(sigma: np.ndarray | None, n: int):
+    """Return a function that writes H, S and S_BS of each row of a block
+    of at most ``_BLOCK_ROWS`` states of dimension ``n`` into the three
+    rows of ``out`` (by default a buffer of its own, which the next call
+    reuses) and returns them as columns, S left out when ``sigma`` is None.
+
+    H is the row sum, S = p' sigma p / 2 and S_BS = -sum p log p with
+    0 * log 0 = 0: one formula each for :func:`monitor` and the streamed
+    ``simulate`` table, on a workspace allocated once.
+    """
+    buffer = np.empty((3, _BLOCK_ROWS))
+    work = np.empty((_BLOCK_ROWS, n))
+    positive = np.empty((_BLOCK_ROWS, n), bool)
+
+    def rows_of(states, out=None):
+        size = states.shape[0]
+        h, s, s_bs = buffer[:, :size] if out is None else out
+        log, pos = work[:size], positive[:size]
+        np.sum(states, axis=1, out=h)
+        if sigma is not None:
+            np.einsum("ti,ij,tj->t", states, sigma, states, out=s)
+            s *= 0.5
+        np.greater(states, 0.0, out=pos)
+        log.fill(1.0)
+        np.copyto(log, states, where=pos)
+        np.log(log, out=log)  # log 1 = 0 where p <= 0
+        np.multiply(log, states, out=log, where=pos)
+        np.sum(log, axis=1, out=s_bs)
+        np.negative(s_bs, out=s_bs)
+        return [h, s_bs] if sigma is None else [h, s, s_bs]
+
+    return rows_of
 
 
 def extrema_count(traj: Trajectory, component: int, tol: float | None = None) -> int:

@@ -22,6 +22,7 @@ from .core import (
     UVWCoordinates,
     _Frozen,
     _frozen_array,
+    check_count,
     uniform_grid,
     unit_scaled,
 )
@@ -172,6 +173,7 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
                           f"got lo={lo!r}, hi={hi!r}")
         if steps < 1:
             raise BadAxis(f"axis {axis!r} needs steps >= 1, got {steps}")
+        check_count(steps, f"axis {axis!r} steps (--vary)", BadAxis)
 
     grid1 = uniform_grid(lo1, hi1, steps1)
     grid2 = uniform_grid(lo2, hi2, steps2)
@@ -227,7 +229,7 @@ def sweep(
     for rows, cols, block_disc, block_index in blocks():
         disc[rows, cols], index[rows, cols] = block_disc, block_index
     fraction = float(np.count_nonzero(index == 0)) / index.size
-    return RegionMap(
+    return RegionMap._adopt(
         axis1=axis1, axis2=axis2, grid1=grid1, grid2=grid2,
         classes=_LETTERS[index], discriminants=disc, fraction_oscillatory=fraction,
     )

@@ -20,6 +20,7 @@ from .core import (
     _Frozen,
     _FrozenValue,
     _frozen_array,
+    check_count,
     uniform_grid,
 )
 from .errors import (
@@ -146,29 +147,30 @@ _BLOCK_POINTS = 1 << 14
 
 
 def _curve_blocks(params: YDParams, k_min: float, k_max: float, steps: int):
-    """Validate a curve and return its arousal grid and a function whose
-    every call evaluates the grid anew, yielding ``(part, rho1, rho2, rho3)``
-    per block of ``_BLOCK_POINTS`` points: the slice of the grid and the
-    occupations there.  A block where the denominator vanishes raises
+    """Validate a curve and return a function whose every call evaluates it
+    anew, yielding ``(k, rho1, rho2, rho3)`` per block of ``_BLOCK_POINTS``
+    points: the block's part of the arousal grid
+    ``uniform_grid(k_min, k_max, steps)`` and the occupations there.  A
+    block where the denominator vanishes raises
     :class:`DegenerateDenominator`.
     """
     if not (0.0 <= k_min < k_max < np.inf):
         raise ValidationError(f"need finite 0 <= k_min < k_max, got ({k_min}, {k_max})")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
-    k_grid = uniform_grid(k_min, k_max, steps)
+    check_count(steps, "steps (--steps)")
 
     def blocks():
         for start in range(0, steps, _BLOCK_POINTS):
-            part = slice(start, start + _BLOCK_POINTS)
-            num1, num2, num3, denom = _stationary_parts(params, k_grid[part])
+            k = uniform_grid(k_min, k_max, steps, start, min(start + _BLOCK_POINTS, steps))
+            num1, num2, num3, denom = _stationary_parts(params, k)
             if denom.min() <= 0.0:
                 raise DegenerateDenominator(
                     "stationary denominator vanishes somewhere on the arousal grid"
                 )
-            yield part, num1 / denom, num2 / denom, num3 / denom
+            yield k, num1 / denom, num2 / denom, num3 / denom
 
-    return k_grid, blocks
+    return blocks
 
 
 def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurve:
@@ -177,11 +179,12 @@ def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurv
     The occupations are (de, a(e+f), ad) / (de + a(d+e+f)); rho3 vanishes
     at k = 0 and as k grows without bound, which is the inverted-U shape.
     """
-    k_grid, blocks = _curve_blocks(params, k_min, k_max, steps)
-    rho = np.empty((3, steps))
-    for part, *block in blocks():
-        rho[:, part] = block
-    return YDCurve(k_grid=k_grid, rho1=rho[0], rho2=rho[1], rho3=rho[2])
+    blocks = _curve_blocks(params, k_min, k_max, steps)
+    columns = np.empty((4, steps))
+    for start, block in zip(range(0, steps, _BLOCK_POINTS), blocks()):
+        columns[:, start:start + _BLOCK_POINTS] = block
+    return YDCurve._adopt(k_grid=columns[0], rho1=columns[1], rho2=columns[2],
+                          rho3=columns[3])
 
 
 def _product(x: float, y: float) -> tuple[float, int]:

@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtpme import RateMatrix, cli, monotonicity
+from qtpme import (
+    Method,
+    ProbabilityVector,
+    RateMatrix,
+    cli,
+    decompose,
+    generator_from_rates,
+    integrate,
+    monitor,
+    monotonicity,
+    rate_matrix_from_json,
+)
 from qtpme.errors import ValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -416,6 +427,72 @@ def test_sweep_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     assert code == 0
     assert peak <= 8 * 2**20
+
+
+def test_simulate_memory_does_not_grow_with_the_steps():
+    # the whole trajectory and its monitor columns peaked at 19 MiB here
+    peaks = []
+    for steps in (20_000, 200_000):
+        argv = ["simulate", "--rates", str(DATA / "rates_126.json"), "--p0", "0.2,0.5,0.3",
+                "--t-end", "10", "--steps", str(steps), "--monitor", "--out", os.devnull]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= peaks[0] + 2**18
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_simulate_streams_the_library_trajectory(method):
+    # three blocks of rows, the last one partial, then the monitor columns
+    w = rate_matrix_from_json(json.loads((DATA / "rates_126.json").read_text()))
+    traj = integrate(generator_from_rates(w), ProbabilityVector(np.array([0.2, 0.5, 0.3])),
+                     10.0, 10_000, Method(method))
+    series = monitor(traj, decompose(w))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["simulate", "--rates", str(DATA / "rates_126.json"),
+                         "--p0", "0.2,0.5,0.3", "--t-end", "10", "--steps", "10000",
+                         "--method", method, "--monitor"])
+    assert code == 0
+    rows = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
+    expected = np.column_stack([traj.times, traj.states, series.h_vals, series.s_vals,
+                                series.s_bs_vals])
+    assert rows.tobytes() == (expected + 0.0).tobytes()
+
+
+def test_simulate_drift_is_reported_before_the_first_byte(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules["qtpme.integrate"], "TOL_SUM", -1.0)
+    out = tmp_path / "sim.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--rates", str(DATA / "rates_126.json"), "--p0", "1,0,0",
+                         "--t-end", "1", "--steps", "10000", "--out", str(out)])
+    assert code == 2
+    assert json.loads(err.getvalue().splitlines()[-1])["error"] == "ProbabilityDrift"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["simulate", "--rates", str(DATA / "rates_126.json"), "--p0", "1,0,0", "--t-end", "1",
+      "--steps", "100000000000000000000"], "steps (--steps)"),
+    (["simulate", "--rates", str(DATA / "rates_126.json"), "--p0", "1,0,0", "--t-end", "1",
+      "--steps", "3000000000"], "steps (--steps)"),
+    (["yd", "curve", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1",
+      "--steps", "3000000000"], "steps (--steps)"),
+    (["sweep", "--rates", str(DATA / "rates_126.json"), "--vary", "a:0:1:3",
+      "--vary", "b:0:1:3000000000"], "axis 'b' steps (--vary)"),
+], ids=["simulate-1e20", "simulate-3e9", "yd-curve-3e9", "sweep-3e9"])
+def test_count_above_the_limit_is_input_error(tmp_path, args, flag):
+    # numpy's "Maximum allowed size exceeded" and MemoryError were exit 3
+    out = tmp_path / "out.csv"
+    proc = run_cli(*args, "--out", str(out))
+    first = assert_error_lines(proc, 1, "BadAxis" if args[0] == "sweep" else "ValidationError")
+    assert first == f"error: {flag} must be at most 16777216 (2**24), got {args[-1].split(':')[-1]}"
+    assert not out.exists()
 
 
 def test_rates_near_the_float_limit(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtpme import cli, errors
+from qtpme.core import MAX_COUNT
 
 RATES_126 = str(Path(__file__).parent / "data" / "rates_126.json")
 MAX = 1.7976931348623157e308
@@ -114,6 +115,56 @@ def test_yd_flags_get_an_answer_or_a_typed_error(command, rates, k_range, n_step
                  if value is not None]
         argv.append(f"--steps={n_steps}")
     assert_answer_or_typed_error(argv)
+
+
+probabilities = st.one_of(st.sampled_from(EDGE_FLOATS).map(repr),
+                          st.floats(0.0, 1.0).map(repr),
+                          st.sampled_from(["", "x", "1e", "-0", "0.5 "]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p0=st.lists(probabilities, min_size=1, max_size=5).map(",".join),
+       method=st.sampled_from(["exact", "rk4"]), monitor=st.booleans())
+def test_simulate_p0_gets_an_answer_or_a_typed_error(p0, method, monitor):
+    argv = ["simulate", "--rates", RATES_126, f"--p0={p0}", "--t-end=1", "--steps=4",
+            f"--method={method}"]
+    assert_answer_or_typed_error(argv + ["--monitor"] * monitor)
+
+
+vary_specs = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "c", "d", "e", "f", "g", ""]), flag_values,
+              flag_values, steps | st.sampled_from(["", "x", "1.5"])).map(":".join),
+    st.sampled_from(["", "a", "a:0:1", "a:0:1:2:3", "a::1:2"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.lists(vary_specs, min_size=0, max_size=3))
+def test_sweep_vary_specs_get_an_answer_or_a_typed_error(specs):
+    assert_answer_or_typed_error(["sweep", "--rates", RATES_126]
+                                 + [f"--vary={spec}" for spec in specs])
+
+
+#: counts past the limit, never allocated: each is refused first
+counts_above_the_limit = st.integers(MAX_COUNT + 1, 10**30).map(str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=counts_above_the_limit,
+       command=st.sampled_from(["simulate", "yd curve", "sweep axis 1", "sweep axis 2"]))
+def test_counts_above_the_limit_are_refused(count, command):
+    if command == "simulate":
+        argv = ["simulate", "--rates", RATES_126, "--p0=1,0,0", "--t-end=1", f"--steps={count}"]
+    elif command == "yd curve":
+        argv = ["yd", "curve", "--a1=1", "--f1=1", "--d=1", "--e=1", f"--steps={count}"]
+    else:
+        specs = ["a:0:1:3", "b:0:1:3"]
+        specs[command.endswith("2")] = f"a:0:1:{count}" if command.endswith("1") else \
+            f"b:0:1:{count}"
+        argv = ["sweep", "--rates", RATES_126] + [f"--vary={spec}" for spec in specs]
+    code, out, err, _ = invoke(argv)
+    assert (code, out) == (1, ""), err
+    assert f"must be at most {MAX_COUNT} (2**24), got {count}" in err
 
 
 # Cases the tests above found, each once exit 3 or a warning on stderr.

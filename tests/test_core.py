@@ -3,6 +3,8 @@ import enum
 import inspect
 import json
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +17,24 @@ from qtpme import (
     QTDecomposition,
     QuadraticEntropy,
     RateMatrix,
+    decompose_3state,
     generator_from_rates,
+    integrate,
+    monitor,
     rate_matrix_from_json,
     rate_matrix_to_json,
+    sweep,
     validate_rates,
+    yd_curve,
 )
-from qtpme.core import RelaxationClass, RelaxationKind, SpectralInfo, UVWCoordinates
+from qtpme.core import (
+    MAX_COUNT,
+    RelaxationClass,
+    RelaxationKind,
+    SpectralInfo,
+    UVWCoordinates,
+    uniform_grid,
+)
 from qtpme.errors import BadShape, NegativeRate, NonzeroDiagonal, ValidationError
 from qtpme.integrate import Method, MonitorSeries, Trajectory
 from qtpme.monotonicity import RegionMap
@@ -318,3 +332,79 @@ def test_result_class_contract(cls, signature, args):
         assert hash(obj) == object.__hash__(obj)
     for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
         assert again is not obj and _same(again, obj)
+
+
+@pytest.mark.parametrize("cls, signature, args", RESULT_CLASSES)
+def test_public_constructors_copy_the_callers_arrays(cls, signature, args):
+    mine = [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
+    obj = cls(*mine)
+    for a in mine:
+        if isinstance(a, np.ndarray):
+            if a.dtype.kind == "f":
+                a += 1.0
+            else:
+                a[...] = "O"
+    assert _same(obj, cls(*args))
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_builders_keep_the_arrays_they_make():
+    # integrate, monitor, sweep and yd_curve hand their fresh arrays to the
+    # result read-only, where the public constructors copy: a copy would
+    # double the peak
+    w = RateMatrix.from_coeffs(3.0, 0.4, 1.2, 6.0, 2.0, 0.3)
+    p0 = ProbabilityVector(np.array([0.2, 0.5, 0.3]))
+    g = generator_from_rates(w)
+    traj = integrate(g, p0, 10.0, 200_000)
+    builders = {
+        "integrate": lambda: integrate(g, p0, 10.0, 200_000),
+        "monitor": lambda: monitor(traj, decompose_3state(w)),
+        "sweep": lambda: sweep(w, "a", "e", ((0.0, 5.0), (0.0, 5.0)), 1000),
+        "yd_curve": lambda: yd_curve(YDParams(1.0, 1.0, 1.0, 1.0), 0.0, 4.0, 200_000),
+    }
+    for name, build in builders.items():
+        build()  # first-call set-up outside the measurement
+        result, peak = _peak(build)
+        arrays = [v for v in result._values() if isinstance(v, np.ndarray)]
+        assert all(not a.flags.writeable for a in arrays), name
+        assert peak <= 1.5 * sum(a.nbytes for a in arrays), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, 1.0]),
+       span=st.floats(0.0, 1.7976931348623157e308) | st.sampled_from([5e-324, 1e-320, 1.0]),
+       n=st.integers(0, 3000), block=st.integers(1, 4100))
+def test_uniform_grid_is_linspace_a_block_at_a_time(lo, span, n, block):
+    hi = min(lo + span, 1.7976931348623157e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at the top of the range
+        whole = uniform_grid(lo, hi, n)
+        parts = [uniform_grid(lo, hi, n, start, min(start + block, n))
+                 for start in range(0, n, block)]
+    with np.errstate(over="ignore"):
+        expected = np.linspace(lo, hi, n)
+    assert whole.tobytes() == expected.tobytes()
+    assert np.concatenate([whole[:0], *parts]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda count: integrate(generator_from_rates(RateMatrix.from_coeffs(1, 1, 1, 1, 1, 1)),
+                            ProbabilityVector(np.array([1.0, 0.0, 0.0])), 1.0, count),
+    lambda count: sweep(RateMatrix.from_coeffs(1, 1, 1, 1, 1, 1), "a", "b",
+                        ((0.0, 1.0), (0.0, 1.0)), (2, count)),
+    lambda count: yd_curve(YDParams(1.0, 1.0, 1.0, 1.0), 0.0, 1.0, count),
+], ids=["integrate", "sweep", "yd_curve"])
+def test_counts_above_the_limit_are_refused_before_any_allocation(build):
+    for count in (MAX_COUNT + 1, 3 * 10**9, 10**20):
+        result, peak = _peak(lambda: pytest.raises(ValidationError, build, count))
+        assert "at most 16777216" in str(result.value)
+        assert peak < 2**20

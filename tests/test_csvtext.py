@@ -117,3 +117,18 @@ def test_float_text_makes_no_object_per_value():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * text.nbytes + 2**20
+
+
+def test_float_text_holds_a_wide_axis_once():
+    # each block is written into the one result; joining per-block arrays
+    # held the text twice
+    x = np.linspace(0.0, 5.0, 10**6)
+    csvtext.float_text(x[:10])
+    tracemalloc.start()
+    try:
+        text = csvtext.float_text(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text[::9973].tolist() == [b"%.17g" % v for v in x[::9973].tolist()]
+    assert peak <= csvtext._LONGEST * x.size + 4 * 2**20
