@@ -62,52 +62,7 @@ _SUBMODULE_OF = {
 # those the public names live in, and ``errors``.
 _SUBMODULES = frozenset(_SUBMODULE_OF.values()) | {"errors"}
 
-__all__ = [
-    "Generator",
-    "Method",
-    "MonitorSeries",
-    "ProbabilityVector",
-    "QTDecomposition",
-    "QuadraticEntropy",
-    "RateMatrix",
-    "RegionMap",
-    "RelaxationClass",
-    "RelaxationKind",
-    "SpectralInfo",
-    "StructureReport",
-    "Trajectory",
-    "UVWCoordinates",
-    "YDCurve",
-    "YDParams",
-    "ConsistencyReport",
-    "centering_projector",
-    "classify_structure",
-    "decompose",
-    "decompose_2state",
-    "decompose_3state",
-    "decompose_nstate",
-    "decomposition_to_json",
-    "discriminant",
-    "ellipse_value",
-    "extrema_count",
-    "generator_from_rates",
-    "integrate",
-    "monitor",
-    "qt_vector_field",
-    "rate_matrix_from_json",
-    "rate_matrix_to_json",
-    "reconstruction_residual",
-    "spectrum",
-    "stationary_distribution",
-    "sweep",
-    "uvw",
-    "validate_rates",
-    "yd_consistency",
-    "yd_curve",
-    "yd_optimal_arousal",
-    "yd_rates",
-    "yd_stationary",
-]
+__all__ = sorted(_SUBMODULE_OF)
 
 __version__ = "0.1.0"
 

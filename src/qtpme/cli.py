@@ -59,10 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsageError(message)
 
 
-#: rows per formatted CSV block, at most: a block of wide rows takes fewer
-#: (``csvtext._BLOCK_BYTES``); bounds the memory of a streamed table
-_CSV_BLOCK_ROWS = 4096
-
 #: the sweep's class letter of each class index, as bytes
 _CLASS_LETTERS = monotonicity._LETTERS.astype("S1")
 
@@ -102,11 +98,12 @@ def _write(chunks, out_path: str | None) -> None:
             fh.close()
 
 
-def _csv_blocks(parts, lead: str = ""):
-    """Yield the CSV rows of a table, a block of at most ``_CSV_BLOCK_ROWS``
-    rows at a time, each row starting with ``lead``.  ``parts`` yields the
-    table's rows in order, each part a list of equal-length 1-D columns of
-    the kinds and text widths of the first.
+def _write_table(header, blocks, columns, out_path: str | None) -> None:
+    """Write a CSV table with the column names ``header``.  ``blocks()``
+    is evaluated once first, keeping nothing, so that every input error is
+    raised before the first byte is written; then each of its blocks,
+    turned into a list of equal-length 1-D columns by ``columns``, is
+    formatted and streamed through ``_write``.
 
     Floats print exactly as C ``%.17g`` with negative zero folded into
     zero; other columns (bytes or str arrays, lists of text) print their
@@ -115,14 +112,10 @@ def _csv_blocks(parts, lead: str = ""):
     """
     from . import csvtext
 
-    return csvtext.blocks(parts, lead, _CSV_BLOCK_ROWS)
-
-
-def _check(blocks) -> None:
-    """Evaluate a table once and keep nothing, so that every input error
-    is raised before the first byte is written."""
     for _ in blocks():
         pass
+    _write(chain([",".join(header) + "\n"], csvtext.blocks(map(columns, blocks()))),
+           out_path)
 
 
 def _json_doc(obj) -> str:
@@ -176,8 +169,6 @@ def _cmd_simulate(args) -> int:
     p0 = _parse_p0(args.p0)
     t_end, steps = args.t_end, args.steps
     blocks = _propagate_blocks(g, p0, t_end, steps, Method(args.method))
-    _check(blocks)
-
     header = ["t"] + [f"p{i + 1}" for i in range(g.n)]
     monitor_rows = None
     if args.monitor:
@@ -189,15 +180,14 @@ def _cmd_simulate(args) -> int:
         header += ["H", "S_BS"] if sigma is None else ["H", "S", "S_BS"]
         monitor_rows = _monitor_rows(sigma, g.n)
 
-    def parts():
-        for rows, states in blocks():
-            times = uniform_grid(0.0, t_end, steps + 1, rows.start, rows.stop)
-            columns = [times, *states.T]
-            if monitor_rows is not None:
-                columns += monitor_rows(states)
-            yield columns
+    def columns(block):
+        rows, states = block
+        times = uniform_grid(0.0, t_end, steps + 1, rows.start, rows.stop)
+        if monitor_rows is None:
+            return [times, *states.T]
+        return [times, *states.T, *monitor_rows(states)]
 
-    _write(chain([",".join(header) + "\n"], _csv_blocks(parts())), args.out)
+    _write_table(header, blocks, columns, args.out)
     return _EXIT_OK
 
 
@@ -240,19 +230,18 @@ def _cmd_sweep(args) -> int:
     (ax1, lo1, hi1, n1), (ax2, lo2, hi2, n2) = (_parse_vary(s) for s in vary)
     grid1, grid2, blocks = monotonicity._sweep_blocks(
         w, ax1, ax2, ((lo1, hi1), (lo2, hi2)), (n1, n2))
-    _check(blocks)
+    # each axis value is formatted once, as fixed-width text
+    from . import csvtext
 
-    def parts():
-        # each axis value is formatted once, as fixed-width text
-        from . import csvtext
+    text1, text2 = csvtext.float_text(grid1), csvtext.float_text(grid2)
 
-        text1, text2 = csvtext.float_text(grid1), csvtext.float_text(grid2)
-        for rows, cols, disc, index in blocks():
-            height, width = disc.shape
-            yield [np.repeat(text1[rows], width), np.tile(text2[cols], height),
-                   _CLASS_LETTERS[index].ravel(), disc.ravel()]
+    def columns(block):
+        rows, cols, disc, index = block
+        height, width = disc.shape
+        return [np.repeat(text1[rows], width), np.tile(text2[cols], height),
+                _CLASS_LETTERS[index].ravel(), disc.ravel()]
 
-    _write(chain([f"{ax1},{ax2},class,D\n"], _csv_blocks(parts())), args.out)
+    _write_table([ax1, ax2, "class", "D"], blocks, columns, args.out)
     return _EXIT_OK
 
 
@@ -272,8 +261,7 @@ def _cmd_yd_curve(args) -> int:
         else:
             k_max = 10.0
     blocks = yd._curve_blocks(params, args.k_min, k_max, args.steps)
-    _check(blocks)
-    _write(chain(["k,rho1,rho2,rho3\n"], _csv_blocks(blocks())), args.out)
+    _write_table(["k", "rho1", "rho2", "rho3"], blocks, list, args.out)
     return _EXIT_OK
 
 
@@ -413,7 +401,3 @@ def main(argv=None) -> int:
         return _report_error(exc, _EXIT_INTERNAL)
     except Exception as exc:  # noqa: BLE001 - last-resort structured report
         return _report_error(exc, _EXIT_INTERNAL)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

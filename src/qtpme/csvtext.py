@@ -1,9 +1,11 @@
 """CSV text of numpy columns, with every float exactly as C ``%.17g``.
 
 A float becomes a fixed-width field of 52 bytes and a keep mask; text
-becomes a fixed-width field of its bytes.  One boolean compaction per block
-of rows turns the fields into CSV text, so no Python code runs per value,
-apart from the rare values CPython formats itself (see ``float_fields``).
+becomes a fixed-width field of its bytes.  ``blocks`` turns a table into
+CSV text by one boolean compaction per block of rows; ``float_text``
+compacts each float's field into a fixed-width text column.  No Python
+code runs per value, apart from the rare values CPython formats itself
+(see ``float_fields``).
 
 ``%.17g`` rounds ``x`` to 17 significant digits, the integer ``N`` in
 [1e16, 1e17) times ``10**(X - 16)``.  It prints fixed point when ``X`` lies
@@ -47,8 +49,10 @@ _SHAPES = 23
 _FALLBACK = _SHAPES * 21 * 2 * 2
 #: the longest ``%.17g`` text, '-2.2250738585072014e-308'
 _LONGEST = 24
-#: buffer bytes of a block: wide rows make blocks of fewer rows, which
-#: bounds the memory a block takes, its temporaries included
+#: a block of CSV text holds at most this many rows and ``_BLOCK_BYTES`` of
+#: buffer: wide rows make blocks of fewer rows, which bounds the memory a
+#: block takes, its temporaries included
+_BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 19
 #: a scaled value whose fraction is this close to 1/2 goes to CPython
 _TIE = 2.0 ** -30
@@ -230,24 +234,28 @@ def float_text(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of each float of the 1-D ``values``, as a
     fixed-width bytes array as wide as the longest text.
 
-    Each block of CSV lines is scattered, by one mask of its bytes, straight
+    Each block of values is formatted by one ``float_fields`` call, and the
+    kept bytes of its fields are scattered, by their ``masks`` rows, straight
     into its rows of one zeroed result of ``_LONGEST`` bytes per value, so
     no Python object is made per value and the text is held once.  The
     array returned views the first bytes of each row: unless some text is
     ``_LONGEST`` bytes long it is not contiguous.
     """
+    t = _tables()
     values = np.asarray(values, float)
-    field = np.zeros((values.size, _LONGEST), np.uint8)
-    width, at = 1, 0
-    for text in blocks([[values]], "", max(1, values.size)):
-        raw = np.frombuffer(text.encode("ascii"), np.uint8)
-        newline = raw == ord("\n")
-        ends = np.flatnonzero(newline)
-        lengths = np.diff(ends, prepend=-1) - 1
+    result = np.zeros((values.size, _LONGEST), np.uint8)
+    size = _BLOCK_BYTES // _WIDTH
+    field = np.empty((min(values.size, size), 1, _WIDTH), np.uint8)
+    width = 1
+    for start in range(0, values.size, size):
+        with np.errstate(invalid="ignore"):  # a signalling NaN
+            x = values[start:start + size, None] + 0.0
+        n = x.shape[0]
+        keep = t.masks[float_fields(x, field[:n], True)].view(bool)
+        lengths = keep.sum(1)
         width = max(width, int(lengths.max()))
-        field[at:at + ends.size][np.arange(_LONGEST) < lengths[:, None]] = raw[~newline]
-        at += ends.size
-    return field[:, :width].view(f"S{width}")[:, 0]
+        result[start:start + n][np.arange(_LONGEST) < lengths[:, None]] = field[:n, 0][keep]
+    return result[:, :width].view(f"S{width}")[:, 0]
 
 
 def _as_text(column) -> np.ndarray:
@@ -256,28 +264,26 @@ def _as_text(column) -> np.ndarray:
     return np.ascontiguousarray(text if text.dtype.kind == "S" else text.astype("S"))
 
 
-def blocks(parts, lead: str, block_rows: int):
-    """Yield the CSV text of a table, at most ``block_rows`` rows (and
-    ``_BLOCK_BYTES`` of buffer) at a time, every row starting with the
-    fixed text ``lead``.  ``parts`` yields the table's rows in order, each
-    part a list of equal-length 1-D columns; every part has the columns of
-    the first, of the same kinds and text widths, so that one buffer,
-    allocated for the first part, serves the whole table.
+def blocks(parts):
+    """Yield the CSV text of a table, at most ``_BLOCK_ROWS`` rows (and
+    ``_BLOCK_BYTES`` of buffer) at a time.  ``parts`` yields the table's
+    rows in order, each part a list of equal-length 1-D columns; every part
+    has the columns of the first, of the same kinds and text widths, so
+    that one buffer, allocated for the first part, serves the whole table.
 
     Float arrays print as ``%.17g`` with negative zero folded into zero;
     any other column prints as the ASCII text of its ``bytes`` or ``str``
-    values.  A row of the block buffer holds ``lead``, a field per column
-    (separator first) and a newline, each padded to whole uint32 words.
-    Each run of adjacent float columns is formatted by one ``float_fields``
-    call, and the block's text is one compaction of the buffer.
+    values.  A row of the block buffer holds a field per column (separator
+    first) and a newline, each padded to whole uint32 words.  Each run of
+    adjacent float columns is formatted by one ``float_fields`` call, and
+    the block's text is one compaction of the buffer.
     """
     t = _tables()
     parts = iter(parts)
     columns = next(parts, None)
     if columns is None:
         return
-    head = np.frombuffer(lead.encode("ascii"), np.uint8)
-    first = at = -(-head.size // 4) * 4
+    at = 0
     # float runs as (offset, column numbers); texts as (offset, column
     # number, width, the mask of a text of each length)
     floats, texts = [], []
@@ -292,19 +298,18 @@ def blocks(parts, lead: str, block_rows: int):
             width = _as_text(column).dtype.itemsize
             # the mask of a text of each length, as one void item per length
             masks = np.zeros((width + 1, -(-(width + 1) // 4) * 4), bool)
-            masks[:, 0] = at != first
+            masks[:, 0] = at != 0
             masks[:, 1:width + 1] = np.tri(width + 1, width, -1, bool)
             masks = masks.view(f"V{masks.shape[1]}")[:, 0]
             texts.append((at, i, width, masks))
             at += masks.itemsize
 
-    # one buffer for every block; the lead, separators and newline stay put
-    size = max(1, min(len(columns[0]), block_rows, _BLOCK_BYTES // (at + 4)))
+    # one buffer for every block; the separators and newline stay put
+    size = max(1, min(len(columns[0]), _BLOCK_ROWS, _BLOCK_BYTES // (at + 4)))
     buf = np.zeros((size, at + 4), np.uint8)
     keep = np.zeros(buf.shape, bool)
-    buf[:, :head.size] = head
     buf[:, at] = ord("\n")
-    keep[:, :head.size] = keep[:, at] = True
+    keep[:, at] = True
     for off, _, _, masks in texts:
         buf[:, off] = ord(",")
         keep[:, off:off + masks.itemsize] = masks[-1:].view(bool)  # text of full width
@@ -332,7 +337,7 @@ def blocks(parts, lead: str, block_rows: int):
                     x += 0.0
                 end = off + _WIDTH * len(run)
                 shape = (n, len(run), _WIDTH)
-                rows_at = float_fields(x, buf[:n, off:end].reshape(shape), off == first)
+                rows_at = float_fields(x, buf[:n, off:end].reshape(shape), off == 0)
                 keep[:n, off:end] = t.masks[rows_at].view(bool)
             for off, text, lengths, masks in text_columns:
                 buf[:n, off + 1:off + 1 + text.shape[1]] = text[start:stop]
