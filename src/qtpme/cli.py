@@ -6,8 +6,10 @@ Rate matrices are read from JSON documents of the form::
 
 where ``rates[dest][src]`` is the transition rate from state ``src`` to
 state ``dest`` (rows are destinations) and the diagonal must be zero.
-Results go to stdout or ``--out``; errors are reported on stderr both as a
-human-readable line and as a one-line JSON document.
+Each command returns its output, a JSON document or a CSV table after its
+check pass, and ``main`` writes it through the one writer, ``_write``, so
+stdout and ``--out`` get the same bytes.  Errors are reported on stderr
+both as a human-readable line and as a one-line JSON document.
 
 Exit codes: 0 success, 1 input validation, 2 solver failure, 3 internal
 error.
@@ -98,12 +100,15 @@ def _write(chunks, out_path: str | None) -> None:
             fh.close()
 
 
-def _write_table(header, blocks, columns, out_path: str | None) -> None:
-    """Write a CSV table with the column names ``header``.  ``blocks()``
-    is evaluated once first, keeping nothing, so that every input error is
-    raised before the first byte is written; then each of its blocks,
-    turned into a list of equal-length 1-D columns by ``columns``, is
-    formatted and streamed through ``_write``.
+def _json(doc) -> list[str]:
+    return [json.dumps(doc) + "\n"]
+
+
+def _table(header, blocks, columns):
+    """The text of a CSV table with the column names ``header``, formatted
+    as it is written.  ``blocks()`` is evaluated once first, keeping
+    nothing, so that every input error is raised before the first byte;
+    ``columns`` turns each block into a list of equal-length 1-D columns.
 
     Floats print exactly as C ``%.17g`` with negative zero folded into
     zero; other columns (bytes or str arrays, lists of text) print their
@@ -114,12 +119,7 @@ def _write_table(header, blocks, columns, out_path: str | None) -> None:
 
     for _ in blocks():
         pass
-    _write(chain([",".join(header) + "\n"], csvtext.blocks(map(columns, blocks()))),
-           out_path)
-
-
-def _json_doc(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+    return chain([",".join(header) + "\n"], csvtext.blocks(map(columns, blocks())))
 
 
 def _parse_p0(text: str) -> ProbabilityVector:
@@ -143,27 +143,21 @@ def _parse_vary(spec: str):
     return name, lo, hi, steps
 
 
-def _cmd_validate(args) -> int:
-    w = _load_rates(args.rates)
-    _write([_json_doc(rate_matrix_to_json(w))], args.out)
-    return _EXIT_OK
+def _cmd_validate(args):
+    return _json(rate_matrix_to_json(_load_rates(args.rates)))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     w = _load_rates(args.rates)
     if args.method == "closed" and w.n > 3:
         raise ValidationError(
             f"--method closed supports N <= 3 only (got N={w.n}); use --method numeric"
         )
-    if args.method == "numeric":
-        decomposition = qt.decompose_nstate(w)
-    else:
-        decomposition = qt.decompose(w)
-    _write([_json_doc(qt.decomposition_to_json(decomposition))], args.out)
-    return _EXIT_OK
+    solve = qt.decompose_nstate if args.method == "numeric" else qt.decompose
+    return _json(qt.decomposition_to_json(solve(w)))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     w = _load_rates(args.rates)
     g = pme.generator_from_rates(w)
     p0 = _parse_p0(args.p0)
@@ -187,29 +181,24 @@ def _cmd_simulate(args) -> int:
             return [times, *states.T]
         return [times, *states.T, *monitor_rows(states)]
 
-    _write_table(header, blocks, columns, args.out)
-    return _EXIT_OK
+    return _table(header, blocks, columns)
 
 
-def _cmd_structure(args) -> int:
-    w = _load_rates(args.rates)
-    report = pme.classify_structure(w)
-    _write([_json_doc(pme.structure_report_to_json(report))], args.out)
-    return _EXIT_OK
+def _cmd_structure(args):
+    report = pme.classify_structure(_load_rates(args.rates))
+    return _json(pme.structure_report_to_json(report))
 
 
-def _cmd_spectrum(args) -> int:
-    w = _load_rates(args.rates)
-    info = pme.spectrum(pme.generator_from_rates(w))
-    _write([_json_doc(pme.spectral_info_to_json(info))], args.out)
-    return _EXIT_OK
+def _cmd_spectrum(args):
+    info = pme.spectrum(pme.generator_from_rates(_load_rates(args.rates)))
+    return _json(pme.spectral_info_to_json(info))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     w = _load_rates(args.rates)
     verdict = monotonicity.discriminant(w)
     coords = monotonicity.uvw(w)
-    doc = {
+    return _json({
         "class": verdict.code,
         "D": verdict.discriminant,
         "xi": verdict.xi,
@@ -217,12 +206,10 @@ def _cmd_classify(args) -> int:
         "u": coords.u,
         "v": coords.v,
         "omega": coords.omega,
-    }
-    _write([_json_doc(doc)], args.out)
-    return _EXIT_OK
+    })
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     vary = args.vary or []
     if len(vary) != 2:
         raise BadAxis(f"sweep needs exactly two --vary specs, got {len(vary)}")
@@ -241,15 +228,14 @@ def _cmd_sweep(args) -> int:
         return [np.repeat(text1[rows], width), np.tile(text2[cols], height),
                 _CLASS_LETTERS[index].ravel(), disc.ravel()]
 
-    _write_table([ax1, ax2, "class", "D"], blocks, columns, args.out)
-    return _EXIT_OK
+    return _table([ax1, ax2, "class", "D"], blocks, columns)
 
 
 def _yd_params(args) -> yd.YDParams:
     return yd.YDParams(a1=args.a1, f1=args.f1, d=args.d, e=args.e)
 
 
-def _cmd_yd_curve(args) -> int:
+def _cmd_yd_curve(args):
     params = _yd_params(args)
     k_max = args.k_max
     if k_max is None:
@@ -260,27 +246,25 @@ def _cmd_yd_curve(args) -> int:
                                       "is outside the float range; give --k-max")
         else:
             k_max = 10.0
+        if k_max <= args.k_min < np.inf:
+            raise ValidationError(f"the default --k-max, {k_max!r}, is not above "
+                                  f"--k-min {args.k_min!r}; give --k-max")
     blocks = yd._curve_blocks(params, args.k_min, k_max, args.steps)
-    _write_table(["k", "rho1", "rho2", "rho3"], blocks, list, args.out)
-    return _EXIT_OK
+    return _table(["k", "rho1", "rho2", "rho3"], blocks, list)
 
 
-def _cmd_yd_optimal(args) -> int:
-    k_opt = yd.yd_optimal_arousal(_yd_params(args))
-    _write([_json_doc(float(k_opt))], args.out)
-    return _EXIT_OK
+def _cmd_yd_optimal(args):
+    return _json(float(yd.yd_optimal_arousal(_yd_params(args))))
 
 
-def _cmd_yd_check(args) -> int:
+def _cmd_yd_check(args):
     report = yd.yd_consistency(_yd_params(args))
-    doc = {
+    return _json({
         "lhs": report.lhs,
         "rhs": report.rhs,
         "satisfied": report.satisfied,
         "omega_at_kopt": report.omega_at_kopt,
-    }
-    _write([_json_doc(doc)], args.out)
-    return _EXIT_OK
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,71 +285,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_rates(p):
         p.add_argument("--rates", required=True, help="path to rate-matrix JSON")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    p_validate = sub.add_parser("validate", help="validate and echo a rate matrix")
-    add_rates(p_validate)
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_dec = sub.add_parser("decompose", help="entropy/circulation decomposition JSON")
-    add_rates(p_dec)
-    p_dec.add_argument("--method", choices=["closed", "numeric"], default=None,
-                       help="closed form (N<=3 only) or numeric solver; default picks by N")
-    p_dec.set_defaults(func=_cmd_decompose)
-
-    p_sim = sub.add_parser("simulate", help="trajectory CSV for an initial state")
-    add_rates(p_sim)
-    p_sim.add_argument("--p0", required=True, help="comma-separated initial probabilities")
-    p_sim.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p_sim.add_argument("--steps", type=int, required=True)
-    p_sim.add_argument("--method", choices=["exact", "rk4"], default="exact")
-    p_sim.add_argument("--monitor", action="store_true",
-                       help="append H, S (when a decomposition exists), S_BS columns")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_cls = sub.add_parser("classify", help="monotonic/oscillatory verdict JSON")
-    add_rates(p_cls)
-    p_cls.set_defaults(func=_cmd_classify)
-
-    p_struct = sub.add_parser("structure", help="symmetry/balance structure report JSON")
-    add_rates(p_struct)
-    p_struct.set_defaults(func=_cmd_structure)
-
-    p_spec = sub.add_parser("spectrum", help="generator eigenvalue report JSON")
-    add_rates(p_spec)
-    p_spec.set_defaults(func=_cmd_spectrum)
-
-    p_sweep = sub.add_parser("sweep", help="region CSV over two varied coefficients")
-    add_rates(p_sweep)
-    p_sweep.add_argument("--vary", action="append", metavar="name:lo:hi:steps",
-                         help=f"axis spec, twice; names from {','.join(COEFF_NAMES)}")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_yd = sub.add_parser("yd", help="arousal-learning model")
-    yd_sub = p_yd.add_subparsers(dest="yd_command", required=True)
 
     def add_yd_params(p):
         p.add_argument("--a1", type=float, required=True, help="primary-learning rate per arousal")
         p.add_argument("--f1", type=float, required=True, help="habit-loss rate per arousal")
         p.add_argument("--d", type=float, required=True, help="secondary-learning rate")
         p.add_argument("--e", type=float, required=True, help="forgetting rate")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p_curve = yd_sub.add_parser("curve", help="stationary occupations vs arousal, CSV")
-    add_yd_params(p_curve)
+    def command(parent, name, func, help, add_inputs):
+        p = parent.add_parser(name, help=help)
+        add_inputs(p)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    command(sub, "validate", _cmd_validate, "validate and echo a rate matrix", add_rates)
+    command(sub, "decompose", _cmd_decompose, "entropy/circulation decomposition JSON",
+            add_rates).add_argument(
+        "--method", choices=["closed", "numeric"], default=None,
+        help="closed form (N<=3 only) or numeric solver; default picks by N")
+
+    p_sim = command(sub, "simulate", _cmd_simulate, "trajectory CSV for an initial state",
+                    add_rates)
+    p_sim.add_argument("--p0", required=True, help="comma-separated initial probabilities")
+    p_sim.add_argument("--t-end", type=float, required=True, dest="t_end")
+    p_sim.add_argument("--steps", type=int, required=True)
+    p_sim.add_argument("--method", choices=["exact", "rk4"], default="exact")
+    p_sim.add_argument("--monitor", action="store_true",
+                       help="append H, S (when a decomposition exists), S_BS columns")
+
+    command(sub, "classify", _cmd_classify, "monotonic/oscillatory verdict JSON", add_rates)
+    command(sub, "structure", _cmd_structure, "symmetry/balance structure report JSON",
+            add_rates)
+    command(sub, "spectrum", _cmd_spectrum, "generator eigenvalue report JSON", add_rates)
+    command(sub, "sweep", _cmd_sweep, "region CSV over two varied coefficients",
+            add_rates).add_argument(
+        "--vary", action="append", metavar="name:lo:hi:steps",
+        help=f"axis spec, twice; names from {','.join(COEFF_NAMES)}")
+
+    yd_sub = sub.add_parser("yd", help="arousal-learning model").add_subparsers(
+        dest="yd_command", required=True)
+    p_curve = command(yd_sub, "curve", _cmd_yd_curve, "stationary occupations vs arousal, CSV",
+                      add_yd_params)
     p_curve.add_argument("--k-min", type=float, default=0.0, dest="k_min")
     p_curve.add_argument("--k-max", type=float, default=None, dest="k_max",
                          help="default: 4x the optimal arousal (10 if undefined)")
     p_curve.add_argument("--steps", type=int, default=101)
-    p_curve.set_defaults(func=_cmd_yd_curve)
-
-    p_opt = yd_sub.add_parser("optimal", help="arousal maximizing the well-trained state")
-    add_yd_params(p_opt)
-    p_opt.set_defaults(func=_cmd_yd_optimal)
-
-    p_check = yd_sub.add_parser("check", help="balanced-training consistency report JSON")
-    add_yd_params(p_check)
-    p_check.set_defaults(func=_cmd_yd_check)
+    command(yd_sub, "optimal", _cmd_yd_optimal, "arousal maximizing the well-trained state",
+            add_yd_params)
+    command(yd_sub, "check", _cmd_yd_check, "balanced-training consistency report JSON",
+            add_yd_params)
 
     return parser
 
@@ -386,7 +355,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             args = parser.parse_args(argv)
-            return args.func(args)
+            _write(args.func(args), args.out)
+            return _EXIT_OK
     except BrokenPipeError:
         # The reader of stdout left early (``qtpme sweep ... | head``): not a
         # failure of the command.  Point stdout at the null device so that

@@ -59,8 +59,8 @@ def test_golden_outputs_are_stable(name):
 
 
 def test_out_flag_writes_identical_bytes(tmp_path):
-    # one JSON command and every CSV command: stdout and --out are two sinks
-    for name in ("classify.json", "sweep.csv", "yd_curve.csv", "simulate_rk4.csv"):
+    # every command's text goes through one writer: stdout and --out are two sinks
+    for name in sorted(CASES):
         out = tmp_path / name
         args = CASES[name]
         streamed = run_cli(*args)
@@ -688,6 +688,19 @@ def test_yd_curve_default_range_outside_the_float_range_is_input_error():
     first = assert_error_lines(run_cli("yd", "curve", *rates), 1, "ValidationError")
     assert "give --k-max" in first
     assert run_cli("yd", "curve", *rates, "--k-max", "1e308").returncode == 0
+
+
+@pytest.mark.parametrize("flags, default", [
+    (["--a1", "1", "--f1", "1", "--d", "1", "--e", "1", "--k-min", "5"], "4.0"),
+    (["--a1", "1", "--f1", "1", "--d", "0", "--e", "1", "--k-min", "1"], "0.0"),
+    (["--a1", "0", "--f1", "1", "--d", "1", "--e", "1", "--k-min", "20"], "10.0"),
+])
+def test_yd_curve_default_k_max_not_above_k_min_is_named_as_default(flags, default):
+    # the error named the default as if it were a --k-max the user had given
+    first = assert_error_lines(run_cli("yd", "curve", *flags, "--steps", "3"), 1,
+                               "ValidationError")
+    assert f"the default --k-max, {default}," in first
+    assert "give --k-max" in first
 
 
 def test_yd_optimum_outside_the_float_range_is_input_error():
