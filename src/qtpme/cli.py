@@ -239,7 +239,7 @@ def _cmd_yd_curve(args):
     params = _yd_params(args)
     k_max = args.k_max
     if k_max is None:
-        if params.a1 > 0.0 and params.f1 > 0.0:
+        if min(params.a1, params.f1, params.d, params.e) > 0.0:
             k_max = 4.0 * yd.yd_optimal_arousal(params)
             if k_max == np.inf:
                 raise ValidationError("the default --k-max, 4x the optimal arousal, "
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                       add_yd_params)
     p_curve.add_argument("--k-min", type=float, default=0.0, dest="k_min")
     p_curve.add_argument("--k-max", type=float, default=None, dest="k_max",
-                         help="default: 4x the optimal arousal (10 if undefined)")
+                         help="default: 4x the optimal arousal (10 unless a1, f1, d, e > 0)")
     p_curve.add_argument("--steps", type=int, default=101)
     command(yd_sub, "optimal", _cmd_yd_optimal, "arousal maximizing the well-trained state",
             add_yd_params)

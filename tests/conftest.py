@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,35 @@ def random_rate_matrix(rng, n=3, scale=1.0):
     w = rng.uniform(0.0, scale, (n, n))
     np.fill_diagonal(w, 0.0)
     return RateMatrix(w)
+
+
+def exact_stationary(w):
+    """Exact stationary state of the rates ``w[dest][src]`` as Fractions.
+
+    Gauss-Jordan elimination on the generator with its last row (redundant:
+    the columns sum to zero) replaced by ones, solved for (0, ..., 0, 1).
+    Independent of the elimination in :mod:`qtpme.pme`; needs a unique state.
+    """
+    n = len(w)
+    rates = [[Fraction(float(x)) for x in row] for row in w]
+    a = [[rates[i][j] if i != j else -sum(rates[k][j] for k in range(n) if k != j)
+          for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def assert_near_exact(p, exact, tol):
+    """Every entry of ``p`` within ``tol`` of the exact state, relative."""
+    assert len(p) == len(exact)
+    for i, (x, e) in enumerate(zip(p, exact)):
+        assert abs(Fraction(float(x)) - e) <= Fraction(tol) * e, (i, x, float(e))
 
 
 def random_probability(rng, n=3):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from qtpme.errors import ValidationError
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
+from conftest import assert_near_exact, exact_stationary
 from make_golden import CASES
 
 
@@ -589,10 +591,26 @@ def test_one_rank_rule_for_spectrum_decompose_and_structure(tmp_path, rates, gap
     assert doc["null_dim"] == 1
     assert doc["gap"] == pytest.approx(gap, rel=1e-3)
     assert run_cli("decompose", "--rates", path).returncode == 0
-    # the stationary state's error bound exceeds its certificate: exit 2
-    first = assert_error_lines(run_cli("structure", "--rates", path), 2, "NonUniqueStationary")
-    assert "error bound" in first and "2.2e-04" in first
-    assert "reducible" not in first
+    # the rate graph has one closed class: the exact state to rounding
+    proc = run_cli("structure", "--rates", path)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)["stationary"]
+    assert_near_exact(state, exact_stationary(rates), 4 * len(rates) * np.finfo(float).eps)
+
+
+def test_rank_rule_for_spectrum_graph_rule_for_structure(tmp_path):
+    # joined one way at 1e-300, below rounding: the rank rule sees two kernel
+    # vectors, while the rate graph has one closed class and a unique state
+    rates = [[0, 1, 0, 1e-300], [1, 0, 0, 0], [0, 1e-300, 0, 2], [0, 0, 3, 0]]
+    path = str(rates_file(tmp_path, rates))
+    proc = run_cli("spectrum", "--rates", path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["null_dim"] == 2
+    proc = run_cli("structure", "--rates", path)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)["stationary"]
+    assert_near_exact(state, [Fraction(3, 11), Fraction(3, 11), Fraction(2, 11), Fraction(3, 11)],
+                      4 * 4 * np.finfo(float).eps)
 
 
 def test_decompose_closed_form_near_the_float_limit(tmp_path):
@@ -692,7 +710,7 @@ def test_yd_curve_default_range_outside_the_float_range_is_input_error():
 
 @pytest.mark.parametrize("flags, default", [
     (["--a1", "1", "--f1", "1", "--d", "1", "--e", "1", "--k-min", "5"], "4.0"),
-    (["--a1", "1", "--f1", "1", "--d", "0", "--e", "1", "--k-min", "1"], "0.0"),
+    (["--a1", "1", "--f1", "1", "--d", "0", "--e", "1", "--k-min", "20"], "10.0"),
     (["--a1", "0", "--f1", "1", "--d", "1", "--e", "1", "--k-min", "20"], "10.0"),
 ])
 def test_yd_curve_default_k_max_not_above_k_min_is_named_as_default(flags, default):
@@ -701,6 +719,14 @@ def test_yd_curve_default_k_max_not_above_k_min_is_named_as_default(flags, defau
                                "ValidationError")
     assert f"the default --k-max, {default}," in first
     assert "give --k-max" in first
+
+
+@pytest.mark.parametrize("d, e", [("0", "1"), ("1", "0")])
+def test_yd_curve_default_k_max_when_the_optimum_is_zero(d, e):
+    # d*e = 0 puts the optimum at 0, so 4x it was no range: the fallback 10 applies
+    rows = yd_rows(run_cli("yd", "curve", "--a1", "1", "--f1", "1", "--d", d, "--e", e,
+                           "--k-min", "1", "--steps", "3"))
+    assert rows[:, 0].tolist() == [1.0, 5.5, 10.0]
 
 
 def test_yd_optimum_outside_the_float_range_is_input_error():

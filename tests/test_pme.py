@@ -12,11 +12,11 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
-from qtpme.errors import BadShape, NonUniqueStationary
+from qtpme.errors import BadShape, NonUniqueStationary, SolverError
 from qtpme.monotonicity import discriminant
 from qtpme.pme import kernel_dimension
 
-from conftest import random_rate_matrix
+from conftest import assert_near_exact, exact_stationary, random_rate_matrix
 
 
 def null_space_oracle(m):
@@ -160,7 +160,7 @@ def test_classify_two_state_detailed_balance():
     assert not report.symmetric
 
 
-def test_classify_structure_checks_the_kernel_once(monkeypatch):
+def test_classify_structure_calls_no_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -171,14 +171,15 @@ def test_classify_structure_checks_the_kernel_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     report = classify_structure(validate_rates([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
     assert report.null_dim == 1
-    assert len(calls) == 1
+    assert calls == []
 
-    # two disconnected 2-state blocks: the single check still reports it
+    # two disconnected 2-state blocks: the rate graph has two closed classes
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
     with pytest.raises(NonUniqueStationary) as exc:
         classify_structure(validate_rates(w))
     assert exc.value.null_dim == 2
+    assert calls == []
 
 
 def test_symmetric_implies_doubly_stochastic(rng):
@@ -207,16 +208,54 @@ def test_detailed_balance_implies_real_spectrum(rng):
         assert np.abs(info.eigenvalues.imag).max() <= 1e-9
 
 
-def test_stationary_certificate_refuses_an_uncertified_null_vector():
-    # one kernel vector under the rank rule, but s[-2] <= 1e-12*n*s[0]: the
-    # lstsq null vector's error bound n*eps*s[0]/s[-2] is above 2.2e-4
+def test_stationary_state_of_rates_13_decades_apart_is_exact():
+    # s[-2] <= 1e-12*n*s[0], so a least-squares null vector carries an error
+    # bound of 4.4e-3; the elimination gives the exact state 1/3, rounded
     g = generator_from_rates(validate_rates([[0, 1e13, 1], [1e13, 0, 1], [1, 1, 0]]))
     assert kernel_dimension(g) == 1
-    with pytest.raises(NonUniqueStationary) as exc:
-        stationary_distribution(g)
-    assert exc.value.null_dim == 1
-    assert "forward error bound" in str(exc.value)
-    assert "reducible" not in str(exc.value)
+    assert stationary_distribution(g).entries.tolist() == [1 / 3] * 3
+
+
+def test_stationary_state_matches_the_exact_state(rng):
+    for _ in range(100):
+        n = int(rng.integers(3, 7))
+        w = 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+        np.fill_diagonal(w, 0.0)
+        p = stationary_distribution(generator_from_rates(validate_rates(w)))
+        assert_near_exact(p.entries, exact_stationary(w), 8 * n * np.finfo(float).eps)
+
+
+def test_transient_states_get_exact_zeros():
+    # state 3 leaves for state 1 and is never entered again
+    g = generator_from_rates(validate_rates([[0, 1, 1], [1, 0, 0], [0, 0, 0]]))
+    assert stationary_distribution(g).entries.tolist() == [0.5, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("rates, state", [
+    # p3/p1 = 1/5e-324: the normalized back-substitution cannot overflow
+    ([[0, 0, 5e-324], [1, 0, 0], [0, 1, 0]], [5e-324, 5e-324, 1.0]),
+    ([[0, 1e308, 1], [1e308, 0, 1], [1, 1, 0]], [1 / 3] * 3),
+    # folding the fast state 3 first would round both slow exits, 1e-323/2, to 0
+    ([[0, 0, 1], [0, 0, 1], [1e-323, 1e-323, 0]], [0.5, 0.5, 5e-324]),
+    # the largest rate, not the largest exit sum, sets the unit: 5e-324 is kept
+    ([[0, 0, 1], [0, 0, 1], [5e-324, 5e-324, 0]], [0.5, 0.5, 0.0]),
+    # state 4 reaches state 3 only through state 1, at about 5e-444: that folded rate is 0
+    ([[0, 0, 1, 1e-320], [1e-200, 0, 1e-100, 1], [1e-323, 0, 0, 0], [1e-200, 1e-323, 0, 0]],
+     [0.0, 1.0, 0.0, 1e-323]),
+])
+def test_stationary_state_at_the_ends_of_the_float_range(rates, state):
+    assert [float(x) for x in exact_stationary(rates)] == state
+    g = generator_from_rates(validate_rates(rates))
+    assert stationary_distribution(g).entries.tolist() == state
+
+
+def test_stationary_state_that_underflows_is_a_solver_error():
+    # at unit size the rates 5e-324 round to 0: states 1 and 2 still reach
+    # state 3 on the rate graph, but state 2's exit and inflow are both 0
+    w = [[0, 0, 4], [0, 0, 4], [5e-324, 5e-324, 0]]
+    with pytest.raises(SolverError, match="underflows at state 2") as exc:
+        stationary_distribution(generator_from_rates(validate_rates(w)))
+    assert type(exc.value) is SolverError
 
 
 def test_generator_rebuilds_its_diagonal_from_the_rates():
