@@ -68,14 +68,12 @@ def discriminant_values(a, b, c, d, e, f):
     """Vectorized (D, xi, q) from coefficient arrays.
 
     q is the sum of the generator's principal 2x2 minors, evaluated
-    directly so that grid sweeps need no eigensolver.
+    directly so that grid sweeps need no eigensolver.  Expanded, the minors
+    cancel to nine positive products, so q is formed by additions only and
+    is accurate to a few eps relative however far apart the rates lie.
     """
     xi = a + b + c + d + e + f
-    q = (
-        (a + b) * (c + d) - c * a
-        + (a + b) * (e + f) - e * b
-        + (c + d) * (e + f) - f * d
-    )
+    q = a * (d + e + f) + b * (c + d + f) + c * (e + f) + d * e
     return xi * xi - 4.0 * q, xi, q
 
 

@@ -16,7 +16,8 @@ from .core import (
 )
 from .errors import NonUniqueStationary, SolverError, ValidationError
 
-#: relative tolerance for the structural flags
+#: relative tolerance of the structural flags: two numbers of a pair match
+#: when they differ by at most this fraction of the larger one
 STRUCTURE_RTOL = 1e-12
 
 
@@ -25,8 +26,10 @@ class StructureReport(_Frozen):
 
     ``symmetric`` implies ``doubly_stochastic`` implies a uniform stationary
     state; ``detailed_balance`` is evaluated at the computed stationary
-    state and implies a purely real relaxation spectrum.  ``null_dim`` is 1,
-    the number of closed classes of the rate graph (more raise instead).
+    state and implies a purely real relaxation spectrum.  Each flag holds
+    when every one of its pairs matches to ``STRUCTURE_RTOL`` of the
+    pair's own size.  ``null_dim`` is 1, the number of closed classes of
+    the rate graph (more raise instead).
     """
 
     __slots__ = ("symmetric", "doubly_stochastic", "detailed_balance", "stationary", "null_dim")
@@ -118,27 +121,24 @@ def spectrum(g: Generator) -> SpectralInfo:
 def classify_structure(w: RateMatrix) -> StructureReport:
     """Evaluate symmetry, double stochasticity, and detailed balance.
 
-    Flags use relative tolerance ``STRUCTURE_RTOL``; detailed balance is
-    checked at the computed stationary state (flux ``p[n] w[m, n]`` against
-    ``p[m] w[n, m]``).  Propagates the errors of
-    :func:`stationary_distribution`.
+    Each flag is decided pair by pair: two numbers match when they differ
+    by at most ``STRUCTURE_RTOL`` of the larger, so a pair of small rates
+    is checked against its own size, not against the largest rate.  The
+    pairs are ``w[m, n]`` and ``w[n, m]`` (symmetric), each state's in-sum
+    and out-sum (doubly stochastic), and the fluxes ``p[n] w[m, n]`` and
+    ``p[m] w[n, m]`` at the computed stationary state (detailed balance).
+    Propagates the errors of :func:`stationary_distribution`.
     """
-    arr, _ = unit_scaled(w.w)  # sums cannot overflow at unit size
-    scale = float(np.abs(arr).max())
-    symmetric = bool(np.abs(arr - arr.T).max() <= STRUCTURE_RTOL * scale)
-    row_sums = arr.sum(axis=1)
-    col_sums = arr.sum(axis=0)
-    doubly_stochastic = bool(np.abs(row_sums - col_sums).max() <= STRUCTURE_RTOL * scale)
+    def same(x, y):  # rates, sums and fluxes are nonnegative
+        return bool((np.abs(x - y) <= STRUCTURE_RTOL * np.maximum(x, y)).all())
 
+    arr, _ = unit_scaled(w.w)  # sums cannot overflow at unit size
     p = stationary_distribution(generator_from_rates(w))
     flux = arr * p.entries[np.newaxis, :]  # flux[m, n] = w[m, n] * p[n]
-    flux_scale = float(np.abs(flux).max())
-    detailed_balance = bool(np.abs(flux - flux.T).max() <= STRUCTURE_RTOL * flux_scale)
-
     return StructureReport(
-        symmetric=symmetric,
-        doubly_stochastic=doubly_stochastic,
-        detailed_balance=detailed_balance,
+        symmetric=same(arr, arr.T),
+        doubly_stochastic=same(arr.sum(axis=1), arr.sum(axis=0)),
+        detailed_balance=same(flux, flux.T),
         stationary=p,
         null_dim=1,  # stationary_distribution found one closed class
     )

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,3 +284,34 @@ def test_discriminant_values_vectorized_matches_scalar(rng):
         assert verdict.discriminant == pytest.approx(disc[idx], rel=1e-12)
         assert verdict.xi == pytest.approx(xi[idx], rel=1e-12)
         assert verdict.q == pytest.approx(q[idx], rel=1e-12)
+
+
+def exact_q(w):
+    """Sum of the principal 2x2 minors of the generator of ``w``, in Fractions."""
+    rates = [[Fraction(float(x)) for x in row] for row in w]
+    m = [[rates[i][j] if i != j else -sum(rates[k][j] for k in range(3) if k != j)
+          for j in range(3)] for i in range(3)]
+    return sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i in range(3) for j in range(i + 1, 3))
+
+
+@pytest.mark.parametrize("s", [1, 3, 6, 9, 12, 16])
+def test_q_is_accurate_to_a_few_eps_relative(s):
+    # q is a sum of nine products of positive sums: at most six roundings
+    # of half an eps each on every term, whatever the spread of the rates
+    rng = np.random.default_rng(s)
+    tol = Fraction(4 * np.finfo(float).eps)
+    for draw in range(300):
+        coeffs = 10.0 ** rng.uniform(-s, s, 6)
+        if draw % 3 == 0:
+            coeffs[rng.uniform(size=6) < 0.4] = 0.0
+        w = RateMatrix.from_coeffs(*coeffs)
+        want = exact_q(w.w)
+        assert abs(Fraction(discriminant(w).q) - want) <= tol * want, coeffs
+
+
+@pytest.mark.parametrize("x", [1e13, 1e16])
+def test_q_of_rates_many_decades_apart_is_correctly_rounded(x):
+    # q = 6x + 3: the old minors formula lost every digit of the 3 and more
+    w = validate_rates([[0, x, 1], [x, 0, 1], [1, 1, 0]])
+    assert exact_q(w.w) == 6 * Fraction(x) + 3
+    assert discriminant(w).q == float(6 * Fraction(x) + 3)

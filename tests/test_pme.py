@@ -208,6 +208,61 @@ def test_detailed_balance_implies_real_spectrum(rng):
         assert np.abs(info.eigenvalues.imag).max() <= 1e-9
 
 
+# 1 <-> 2 swap at rate x and a one-way cycle 2 -> 3 -> 4 -> 2 runs at rate 1
+def swap_and_cycle(x, cycle_back=1.0):
+    return [[0, x, 0, 0], [x, 0, 0, cycle_back], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("rates, flags", [
+    (swap_and_cycle(1.0), (False, True, False)),
+    (swap_and_cycle(1e13), (False, True, False)),
+    # state 4 receives 1 and sends 1 + 1e-6: not doubly stochastic
+    (swap_and_cycle(1e13, 1.0 + 1e-6), (False, False, False)),
+    ([[0, 1e13, 1], [1e13, 0, 1], [1, 1, 0]], (True, True, True)),
+])
+def test_structure_flags_are_decided_per_pair(rates, flags):
+    # each pair is checked against its own size: a mismatch 13 decades
+    # below the largest rate is still a mismatch
+    report = classify_structure(validate_rates(rates))
+    assert (report.symmetric, report.doubly_stochastic, report.detailed_balance) == flags
+
+
+def reversible_rates(rng, s):
+    """``w[m, n] = S[m, n] * pi[m]`` with ``S`` symmetric and log-uniform over
+    10^+-s, ``pi`` over 10^+-s/2: detailed balance holds at ``pi``."""
+    n = int(rng.integers(3, 8))
+    base = 10.0 ** rng.uniform(-s, s, (n, n))
+    w = np.triu(base, 1) + np.triu(base, 1).T
+    w *= 10.0 ** rng.uniform(-s / 2, s / 2, n)[:, None]
+    return w
+
+
+@pytest.mark.parametrize("s", [3, 12])
+def test_detailed_balance_is_decided_at_the_smallest_flux(s):
+    rng = np.random.default_rng(s)
+    for _ in range(150):
+        w = reversible_rates(rng, s)
+        report = classify_structure(validate_rates(w))
+        assert report.detailed_balance
+        # unbalance the pair of smallest flux by a factor 1 + 1e-6
+        flux = w * report.stationary.entries
+        np.fill_diagonal(flux, np.inf)
+        m, n = np.unravel_index(np.argmin(flux), flux.shape)
+        w[m, n] *= 1.0 + 1e-6
+        assert not classify_structure(validate_rates(w)).detailed_balance
+
+
+def test_subnormal_fluxes_match_only_to_their_own_precision():
+    # Every tree chain is reversible.  Here p[2] is about 1.7e-316, a
+    # subnormal with some 20 significant bits, so the pair of fluxes
+    # through it is rounded far beyond STRUCTURE_RTOL and does not match.
+    report = classify_structure(validate_rates([[0, 1, 0], [1, 0, 3], [0, 1e-315, 0]]))
+    assert report.stationary.entries[2] < np.finfo(float).tiny
+    assert not report.detailed_balance
+    # at 1e-300 the fluxes are normal numbers and the flag is right
+    assert classify_structure(validate_rates([[0, 1, 0], [1, 0, 3], [0, 1e-300, 0]])).detailed_balance
+
+
 def test_stationary_state_of_rates_13_decades_apart_is_exact():
     # s[-2] <= 1e-12*n*s[0], so a least-squares null vector carries an error
     # bound of 4.4e-3; the elimination gives the exact state 1/3, rounded

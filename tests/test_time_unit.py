@@ -94,7 +94,13 @@ def test_time_unit_changes_no_verdict(kind, n, seed, log_c):
         verdict = discriminant(base)
         reported = (verdict.discriminant * c * c, verdict.xi * c, verdict.q * c * c)
         if np.isfinite(reported).all():
-            assert discriminant(scaled).kind is verdict.kind
+            verdict_c = discriminant(scaled)
+            assert verdict_c.kind is verdict.kind
+            # q has positive terms only: 3 eps on each side, eps for the
+            # rounded rates c*w and eps for c*c*q
+            tiny = np.finfo(float).tiny
+            if min(abs(verdict_c.q), abs(reported[2])) >= tiny:
+                assert abs(verdict_c.q - reported[2]) <= 8 * np.finfo(float).eps * reported[2]
         else:  # D, xi or q beyond the float range is an input error
             with pytest.raises(ValidationError):
                 discriminant(scaled)
