@@ -16,8 +16,7 @@ from .core import (
 )
 from .errors import NonUniqueStationary, SolverError, ValidationError
 
-#: relative tolerance of the structural flags: two numbers of a pair match
-#: when they differ by at most this fraction of the larger one
+#: a pair matches when it differs by at most this fraction of its larger number
 STRUCTURE_RTOL = 1e-12
 
 

@@ -311,7 +311,8 @@ def test_q_is_accurate_to_a_few_eps_relative(s):
 
 @pytest.mark.parametrize("x", [1e13, 1e16])
 def test_q_of_rates_many_decades_apart_is_correctly_rounded(x):
-    # q = 6x + 3: the old minors formula lost every digit of the 3 and more
+    # q = 6x + 3 exactly; the minors, formed with subtractions, cancel the 3
+    # and more away
     w = validate_rates([[0, x, 1], [x, 0, 1], [1, 1, 0]])
     assert exact_q(w.w) == 6 * Fraction(x) + 3
     assert discriminant(w).q == float(6 * Fraction(x) + 3)

@@ -208,7 +208,8 @@ def test_detailed_balance_implies_real_spectrum(rng):
         assert np.abs(info.eigenvalues.imag).max() <= 1e-9
 
 
-# 1 <-> 2 swap at rate x and a one-way cycle 2 -> 3 -> 4 -> 2 runs at rate 1
+# states 1 and 2 swap at rate x; a one-way cycle 2 -> 3 -> 4 -> 2 runs at
+# rate 1, with cycle_back for the step 4 -> 2
 def swap_and_cycle(x, cycle_back=1.0):
     return [[0, x, 0, 0], [x, 0, 0, cycle_back], [0, 1, 0, 0], [0, 0, 1, 0]]
 
