@@ -10,12 +10,14 @@ contributes nothing to dS/dt = n * |P sigma p|^2.
 For N=2 and N=3 the decomposition is available in closed form.  For
 general N the matching system becomes, on the zero-sum subspace, the linear
 Lyapunov equation ``Gq Kq + Kq Gq' = n*(Gq - Gq')`` for the circulation
-``Kq`` alone, with ``Gq`` the generator restricted there; sigma then
-follows from one well-conditioned solve.  When the stationary state is
-unique, Gq is Hurwitz (its eigenvalues are the nonzero eigenvalues of G),
-so Kq is unique: the decomposition exists, is unique, and its sigma, whose
-restriction inverts the solution ``Y`` of ``Gq Y + Y Gq' = 2n*I``, is
-negative definite on the zero-sum subspace.  :func:`decompose` picks the
+``Kq`` alone, with ``Gq`` the generator restricted there.  It is solved
+in the eigenbasis of Gq in O(N^3), or, when Gq is defective or nearly so,
+by one dense O(N^6) solve; sigma then follows from one well-conditioned
+solve.  When the stationary state is unique, Gq is Hurwitz (its
+eigenvalues are the nonzero eigenvalues of G), so Kq is unique: the
+decomposition exists, is unique, and its sigma, whose restriction inverts
+the solution ``Y`` of ``Gq Y + Y Gq' = 2n*I``, is negative definite on the
+zero-sum subspace.  :func:`decompose` picks the
 method by N; every answer, closed forms included, is certified by its
 reconstruction residual.
 """
@@ -162,8 +164,8 @@ def _antisym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
-def _circulation(a: np.ndarray, n: int) -> np.ndarray:
-    """Antisymmetric k with ``a @ k + k @ a.T = n * (a - a.T)``.
+def _dense_circulation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Antisymmetric k with ``a @ k + k @ a.T = c`` by one dense solve.
 
     The unknowns are the strict upper triangle of k.  Row (i, j) of the
     operator holds ``a[i, l]`` at k[l, j] and ``a[j, l]`` at k[i, l]
@@ -184,8 +186,39 @@ def _circulation(a: np.ndarray, n: int) -> np.ndarray:
     operator[rows, pos[lj, j[:, None]]] = a[i[:, None], lj] * sign[lj, j[:, None]]
     operator[rows, pos[i[:, None], li]] += a[j[:, None], li] * sign[i[:, None], li]
     k = np.zeros((m, m))
-    k[i, j] = np.linalg.solve(operator, n * (a[i, j] - a[j, i]))
+    k[i, j] = np.linalg.solve(operator, c[i, j])
     return k - k.T
+
+
+def _circulation(a: np.ndarray, n: int) -> np.ndarray:
+    """Antisymmetric k with ``a @ k + k @ a.T = n * (a - a.T)``.
+
+    With ``a = V diag(l) V^-1`` the equation splits into scalar ones,
+    ``kt[i, j] = ct[i, j] / (l[i] + l[j])`` for ``ct = V^-1 c V^-T``, and
+    ``k = V kt V'``, in O(m^3).  That answer is kept only if its backward
+    error ``|a k + k a' - c|_F`` is at most ``4 m eps (2 |a|_F |k|_F +
+    |c|_F)``; a defective or nearly defective ``a``, whose eigenvectors are
+    ill conditioned, fails that test (or the eigen step raises), and then
+    the O(m^6) dense solve of :func:`_dense_circulation` answers instead.
+    An overflow or a NaN anywhere on the way fails the test too.
+    """
+    c = n * (a - a.T)
+    m = a.shape[0]
+    try:
+        with np.errstate(all="ignore"):
+            lam, v = np.linalg.eig(a)
+            ct = np.linalg.solve(v, np.linalg.solve(v, c).T).T
+            kt = ct / (lam[:, None] + lam[None, :])
+            np.fill_diagonal(kt, 0.0)  # ct is antisymmetric
+            k = _antisym((v @ kt @ v.T).real)
+            backward = np.linalg.norm(a @ k + k @ a.T - c)
+            bound = 4.0 * m * np.finfo(float).eps * (
+                2.0 * np.linalg.norm(a) * np.linalg.norm(k) + np.linalg.norm(c))
+        if backward <= bound < np.inf:  # NaN fails both comparisons
+            return k
+    except np.linalg.LinAlgError:
+        pass
+    return _dense_circulation(a, c)
 
 
 def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
@@ -195,16 +228,19 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     ``(n*I + Kq) Xq = Gq`` with ``Gq = Q' G Q``, ``Xq = Q' sigma Q``
     symmetric and ``Kq`` antisymmetric.  ``Xq = (n*I + Kq)^-1 Gq`` is
     symmetric exactly when ``Gq Kq + Kq Gq' = n*(Gq - Gq')``, a Lyapunov
-    equation for the circulation alone, solved once with the strict upper
-    triangle of Kq, (n-1)(n-2)/2 numbers, as its unknowns.  On
-    antisymmetric matrices the Lyapunov operator has the eigenvalues
-    ``li + lj`` (i < j), the li being the eigenvalues of Gq.  When the
-    stationary state is unique the li are the nonzero eigenvalues of G, all
-    in the open left half-plane, so Kq is unique, and a pair sum stays
-    clear of zero even when one eigenvalue nearly vanishes, as on a nearly
-    reducible chain.  ``n*I + Kq`` is normal with eigenvalues of modulus at
-    least n, so the solve for Xq is well conditioned, and neither solve
-    needs refining.  ``Y = Xq^-1`` solves ``Gq Y + Y Gq' = 2n*I``, so with
+    equation for the circulation alone.  On antisymmetric matrices the
+    Lyapunov operator has the eigenvalues ``li + lj`` (i < j), the li being
+    the eigenvalues of Gq.  When the stationary state is unique the li are
+    the nonzero eigenvalues of G, all in the open left half-plane, so Kq is
+    unique, and a pair sum stays clear of zero even when one eigenvalue
+    nearly vanishes, as on a nearly reducible chain.  :func:`_circulation`
+    solves it in the eigenbasis of Gq and keeps that answer when its
+    backward error is at the rounding level; otherwise (Gq defective or
+    nearly so, as on a one-way path) it solves once densely with the
+    strict upper triangle of Kq, (n-1)(n-2)/2 numbers, as the unknowns.
+    ``n*I + Kq`` is normal with eigenvalues of modulus at least n, so the
+    solve for Xq is well conditioned and needs no refining.
+    ``Y = Xq^-1`` solves ``Gq Y + Y Gq' = 2n*I``, so with
     Gq Hurwitz, Xq, and with it sigma on the zero-sum subspace, is negative
     definite.  The all-ones part of sigma follows from
     ``(n*I + Kq)^-1 Q' G 1`` and the canonical gauge

@@ -21,7 +21,7 @@ from qtpme import (
 )
 from qtpme.core import K3_PATTERN
 from qtpme.errors import DegenerateRatesWarning, NoConvergence, ValidationError
-from qtpme.qt import _certified, free_parameter_count
+from qtpme.qt import _certified, _dense_circulation, free_parameter_count
 
 from conftest import random_rate_matrix
 
@@ -545,6 +545,16 @@ def one_way_cycle_rates(n, background=0.0, back=0.0):
     return w
 
 
+def one_way_path_rates(n, reset=0.0):
+    """Unit rates j -> j+1 along a path that ends in state n-1, and ``reset``
+    from every later state back to state 0.  Without resets Gq is one
+    Jordan block; with small ones it is nearly defective."""
+    w = np.zeros((n, n))
+    w[np.arange(1, n), np.arange(n - 1)] = 1.0
+    w[0, 1:] = reset
+    return w
+
+
 HARD_CHAINS = {
     **{
         f"reducible{classes}-n{n}-{coupling:g}": nearly_reducible_rates(n, classes, coupling)
@@ -553,6 +563,8 @@ HARD_CHAINS = {
     **{f"one-way-n{n}-all-1e-9": one_way_cycle_rates(n, background=1e-9) for n in (10, 30)},
     **{f"one-way-n{n}-back-1e-12": one_way_cycle_rates(n, back=1e-12) for n in (10, 30)},
     "12-decades-n30": log_uniform_rates(np.random.default_rng(12), 30, 1e-6, 1e6).w,
+    **{f"path-n{n}": one_way_path_rates(n) for n in (4, 10, 30)},
+    **{f"path-n{n}-reset-1e-3": one_way_path_rates(n, reset=1e-3) for n in (4, 10, 30)},
 }
 
 
@@ -563,6 +575,23 @@ def test_decompose_nstate_hard_families_certify_tightly(chain, unit):
     g_norm = unit * np.linalg.norm(generator_from_rates(RateMatrix(rates)).m)
     qt = decompose_nstate(RateMatrix(unit * rates))
     assert qt.residual <= 1e-13 * g_norm
+
+
+def test_decompose_nstate_takes_the_dense_solve_only_for_defective_generators(monkeypatch):
+    # the eigenbasis solve fails its backward-error test only where the
+    # eigenvectors of Gq are ill conditioned: on the one-way paths
+    reached = []
+
+    def spy(a, c):
+        reached.append(a.shape[0])
+        return _dense_circulation(a, c)
+
+    monkeypatch.setattr("qtpme.qt._dense_circulation", spy)
+    benchmark_like = log_uniform_rates(np.random.default_rng(30), 30, 0.1, 10.0).w
+    for chain, rates in [*sorted(HARD_CHAINS.items()), ("benchmark-like-n30", benchmark_like)]:
+        reached.clear()
+        decompose_nstate(RateMatrix(rates))
+        assert len(reached) == chain.startswith("path-"), chain
 
 
 def test_decompose_nstate_memory_stays_below_a_kronecker_system():
