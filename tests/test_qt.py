@@ -578,8 +578,8 @@ def test_decompose_nstate_hard_families_certify_tightly(chain, unit):
 
 
 def test_decompose_nstate_takes_the_dense_solve_only_for_defective_generators(monkeypatch):
-    # the eigenbasis solve fails its backward-error test only where the
-    # eigenvectors of Gq are ill conditioned: on the one-way paths
+    # of these chains only the one-way paths, whose Gq is defective or
+    # nearly so, fail the eigenbasis solve's backward-error test
     reached = []
 
     def spy(a, c):
