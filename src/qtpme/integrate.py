@@ -49,9 +49,7 @@ class Trajectory(_Frozen):
             raise BadShape("times must be 1-D and states (T, N) with matching T")
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("times must be strictly increasing")
-        drift = np.abs(states.sum(axis=1) - 1.0).max()
-        if not drift <= TOL_SUM:
-            raise ProbabilityDrift(drift, TOL_SUM)
+        _check_drift(states, np.empty(states.shape[::-1]))
         self._set(times=_frozen_array(times), states=_frozen_array(states), method=method)
 
     @property
@@ -168,6 +166,7 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
         k *= 2
     advance = _conserving(power, floor).T
     buffers = np.empty((2,) + first.shape)
+    cols = np.empty(first.shape[::-1])
 
     def blocks():
         block = first
@@ -175,12 +174,31 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
             if start:
                 nxt = buffers[start // _BLOCK_ROWS % 2, :min(_BLOCK_ROWS, steps + 1 - start)]
                 block = np.matmul(block[:nxt.shape[0]], advance, out=nxt)
-            drift = np.abs(block.sum(axis=1) - 1.0).max()
-            if not drift <= TOL_SUM:
-                raise ProbabilityDrift(drift, TOL_SUM)
+            _check_drift(block, cols[:, :block.shape[0]])
             yield slice(start, start + block.shape[0]), block
 
     return blocks
+
+
+def _row_sums(states: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The row sums of ``states`` (T, N), formed across columns: the block
+    is copied into ``cols`` (N, T) and its N columns are added in index
+    order, N vector steps instead of one short inner loop per row.  numpy
+    adds a contiguous row of fewer than 8 values in index order too, so for
+    N <= 7 these are the bytes of ``states.sum(axis=1)``; from N = 8 on it
+    sums a row pairwise, and the two may differ by a few ulp.
+    """
+    np.copyto(cols, states.T)
+    return np.sum(cols, axis=0, out=out)
+
+
+def _check_drift(states: np.ndarray, cols: np.ndarray) -> None:
+    """Raise :class:`ProbabilityDrift` when a row sum of ``states`` is NaN
+    or drifts from 1 by more than ``TOL_SUM``; ``cols`` is the workspace of
+    :func:`_row_sums`."""
+    drift = np.abs(_row_sums(states, cols) - 1.0).max()
+    if not drift <= TOL_SUM:
+        raise ProbabilityDrift(drift, TOL_SUM)
 
 
 def _conserving(t: np.ndarray, floor: float) -> np.ndarray:
@@ -296,26 +314,41 @@ def _monitor_rows(sigma: np.ndarray | None, n: int):
 
     H is the row sum, S = p' sigma p / 2 and S_BS = -sum p log p with
     0 * log 0 = 0: one formula each for :func:`monitor` and the streamed
-    ``simulate`` table, on a workspace allocated once.
+    ``simulate`` table, on a workspace allocated once.  The block is copied
+    once into an (n, rows) workspace and each quantity is summed across its
+    columns, so every numpy step covers the whole block.  H and S_BS add
+    the n terms of a row in index order (see :func:`_row_sums`).  S adds
+    the n^2 terms ``(p_i sigma_ij) p_j`` one by one from 0, i outer and j
+    inner, in n steps of n + 1 rows each: the order of
+    ``einsum("ti,ij,tj->t")``, except on blocks of one or two rows at
+    n = 2, where einsum groups the terms by i.
     """
     buffer = np.empty((3, _BLOCK_ROWS))
-    work = np.empty((_BLOCK_ROWS, n))
-    positive = np.empty((_BLOCK_ROWS, n), bool)
+    cols = np.empty((n, _BLOCK_ROWS))
+    log = np.empty((n, _BLOCK_ROWS))
+    positive = np.empty((n, _BLOCK_ROWS), bool)
+    # row 0: S so far; rows 1..n: the terms of one i
+    terms = np.empty((n + 1, _BLOCK_ROWS))
 
     def rows_of(states, out=None):
         size = states.shape[0]
         h, s, s_bs = buffer[:, :size] if out is None else out
-        log, pos = work[:size], positive[:size]
-        np.sum(states, axis=1, out=h)
+        p, lg, pos, t = cols[:, :size], log[:, :size], positive[:, :size], terms[:, :size]
+        _row_sums(states, p, out=h)
         if sigma is not None:
-            np.einsum("ti,ij,tj->t", states, sigma, states, out=s)
+            s.fill(0.0)
+            for i in range(n):
+                t[0] = s
+                np.multiply.outer(sigma[i], p[i], out=t[1:])
+                t[1:] *= p
+                np.sum(t, axis=0, out=s)
             s *= 0.5
-        np.greater(states, 0.0, out=pos)
-        log.fill(1.0)
-        np.copyto(log, states, where=pos)
-        np.log(log, out=log)  # log 1 = 0 where p <= 0
-        np.multiply(log, states, out=log, where=pos)
-        np.sum(log, axis=1, out=s_bs)
+        np.greater(p, 0.0, out=pos)
+        lg.fill(1.0)
+        np.copyto(lg, p, where=pos)
+        np.log(lg, out=lg)  # log 1 = 0 where p <= 0
+        np.multiply(lg, p, out=lg, where=pos)
+        np.sum(lg, axis=0, out=s_bs)
         np.negative(s_bs, out=s_bs)
         return [h, s_bs] if sigma is None else [h, s, s_bs]
 
@@ -328,7 +361,11 @@ def extrema_count(traj: Trajectory, component: int, tol: float | None = None) ->
     Differences with magnitude at most ``tol`` are ignored so that
     floating-point ripple on a flat tail is not counted as structure.  The
     default tolerance is 1e-9 times the component's maximum magnitude.
+    ``component`` is an integer index in ``[0, traj.n)``; anything else
+    raises :class:`BadShape`.
     """
+    if not (isinstance(component, (int, np.integer)) and 0 <= component < traj.n):
+        raise BadShape(f"component must be an integer in [0, {traj.n}), got {component!r}")
     if traj.times.size < 3:
         raise ValidationError("extrema counting needs at least 3 time points")
     series = traj.states[:, component]

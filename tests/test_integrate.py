@@ -23,8 +23,8 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
-from qtpme.errors import ProbabilityDrift, SolverError, UnstableStep, ValidationError
-from qtpme.integrate import Trajectory
+from qtpme.errors import BadShape, ProbabilityDrift, SolverError, UnstableStep, ValidationError
+from qtpme.integrate import _BLOCK_ROWS, Trajectory, _monitor_rows
 
 from conftest import random_probability, random_rate_matrix
 
@@ -324,6 +324,76 @@ def test_monitor_handles_exact_zero_probabilities():
     assert series.s_bs_vals[0] == 0.0
 
 
+def monitor_reference(states, sigma):
+    """H, S and S_BS of each row by the formulas that sum along the rows:
+    the bytes the monitor gave before it summed across columns."""
+    pos = states > 0.0
+    terms = np.where(pos, states * np.log(np.where(pos, states, 1.0)), 0.0)
+    return (np.sum(states, axis=1), 0.5 * np.einsum("ti,ij,tj->t", states, sigma, states),
+            -np.sum(terms, axis=1))
+
+
+def stiff_rows(rng, n, rows):
+    """States as a stiff RK4 run leaves them: about a fifth of the entries
+    exactly 0, and a twentieth tiny negatives of -1e-19 to -1e-16."""
+    states = rng.dirichlet(np.ones(n), rows)
+    states[rng.uniform(size=states.shape) < 0.2] = 0.0
+    negative = rng.uniform(size=states.shape) < 0.05
+    states[negative] = -(10.0 ** rng.uniform(-19.0, -16.0, negative.sum()))
+    states[0, 0], states[-1, -1] = 0.0, -1e-17
+    return states
+
+
+def random_sigma(rng, n):
+    a = rng.normal(size=(n, n))
+    return -(a @ a.T)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_monitor_rows_keep_the_bytes_of_the_row_formulas(n):
+    # numpy adds a contiguous row of fewer than 8 values in index order, the
+    # order of the column sums, and einsum adds S's terms in the monitor's order
+    rng = np.random.default_rng(n)
+    sigma = random_sigma(rng, n)
+    rows_of = _monitor_rows(sigma, n)
+    for size in (_BLOCK_ROWS, 1000, 3):
+        states = stiff_rows(rng, n, size)
+        assert (states == 0.0).any() and (states < 0.0).any()
+        for got, want in zip(rows_of(states), monitor_reference(states, sigma)):
+            np.testing.assert_array_equal(got, want)
+    # on one or two rows at n = 2, einsum groups S's terms by i instead
+    states = stiff_rows(rng, n, 2)
+    _, s, _ = rows_of(states)
+    assert np.abs(s - monitor_reference(states, sigma)[1]).max() <= np.spacing(np.abs(s)).max()
+
+
+@pytest.mark.parametrize("n", [8, 12, 30])
+def test_monitor_rows_move_h_and_s_bs_by_a_few_ulp_from_n_8(n):
+    # from 8 values on numpy sums a row pairwise; S keeps einsum's bytes
+    rng = np.random.default_rng(n)
+    sigma = random_sigma(rng, n)
+    states = stiff_rows(rng, n, _BLOCK_ROWS)
+    h, s, s_bs = _monitor_rows(sigma, n)(states)
+    h_ref, s_ref, s_bs_ref = monitor_reference(states, sigma)
+    np.testing.assert_array_equal(s, s_ref)
+    for got, want in ((h, h_ref), (s_bs, s_bs_ref)):
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+def test_monitor_matches_the_row_formulas_across_blocks():
+    # three full blocks and a short one, on a real RK4 trajectory
+    w = rate_matrix_from_json(json.loads((DATA / "rates_cyclic.json").read_text()))
+    qt = decompose_3state(w)
+    traj = integrate(generator_from_rates(w), ProbabilityVector(np.array([1.0, 0.0, 0.0])),
+                     t_end=5.0, steps=3 * _BLOCK_ROWS + 4, method=Method.RK4)
+    assert traj.times.size == 3 * _BLOCK_ROWS + 5
+    series = monitor(traj, qt)
+    h, s, s_bs = monitor_reference(traj.states, qt.entropy.sigma)
+    np.testing.assert_array_equal(series.h_vals, h)
+    np.testing.assert_array_equal(series.s_vals, s)
+    np.testing.assert_array_equal(series.s_bs_vals, s_bs)
+
+
 def test_extrema_count_monotone_decay():
     g = generator_from_rates(validate_rates([[0, 1], [1, 0]]))
     traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0])), t_end=5.0, steps=200)
@@ -362,6 +432,16 @@ def test_extrema_count_needs_three_points(rng):
     traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0, 0.0])), t_end=1.0, steps=1)
     with pytest.raises(ValidationError):
         extrema_count(traj, 0)
+
+
+@pytest.mark.parametrize("component", [3, -1, 1.5, "0", None])
+def test_extrema_count_rejects_a_bad_component(component):
+    # an index outside [0, n), or not an integer, is a typed input error
+    g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0))
+    traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0, 0.0])), t_end=5.0, steps=100)
+    with pytest.raises(BadShape, match=r"\[0, 3\)"):
+        extrema_count(traj, component)
+    assert extrema_count(traj, np.int64(2)) == extrema_count(traj, 2)
 
 
 def test_extrema_count_ignores_subtolerance_ripple():
