@@ -34,12 +34,10 @@ from .core import (
     RateMatrix,
     rate_matrix_from_json,
     rate_matrix_to_json,
-    uniform_grid,
 )
 from .errors import (
     BadAxis,
     NoConvergence,
-    QtpmeError,
     SolverError,
     ValidationError,
 )
@@ -161,8 +159,7 @@ def _cmd_simulate(args):
     w = _load_rates(args.rates)
     g = pme.generator_from_rates(w)
     p0 = _parse_p0(args.p0)
-    t_end, steps = args.t_end, args.steps
-    blocks = _propagate_blocks(g, p0, t_end, steps, Method(args.method))
+    blocks = _propagate_blocks(g, p0, args.t_end, args.steps, Method(args.method))
     header = ["t"] + [f"p{i + 1}" for i in range(g.n)]
     monitor_rows = None
     if args.monitor:
@@ -175,11 +172,10 @@ def _cmd_simulate(args):
         monitor_rows = _monitor_rows(sigma, g.n)
 
     def columns(block):
-        rows, states = block
-        times = uniform_grid(0.0, t_end, steps + 1, rows.start, rows.stop)
+        _, times, _, cols = block
         if monitor_rows is None:
-            return [times, *states.T]
-        return [times, *states.T, *monitor_rows(states)]
+            return [times, *cols]
+        return [times, *cols, *monitor_rows(cols)]
 
     return _table(header, blocks, columns)
 
@@ -367,7 +363,5 @@ def main(argv=None) -> int:
         return _report_error(exc, _EXIT_VALIDATION)
     except SolverError as exc:
         return _report_error(exc, _EXIT_SOLVER)
-    except QtpmeError as exc:
-        return _report_error(exc, _EXIT_INTERNAL)
     except Exception as exc:  # noqa: BLE001 - last-resort structured report
         return _report_error(exc, _EXIT_INTERNAL)

@@ -49,7 +49,7 @@ class Trajectory(_Frozen):
             raise BadShape("times must be 1-D and states (T, N) with matching T")
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("times must be strictly increasing")
-        _check_drift(states, np.empty(states.shape[::-1]))
+        _check_drift(states.T)
         self._set(times=_frozen_array(times), states=_frozen_array(states), method=method)
 
     @property
@@ -109,23 +109,23 @@ def integrate(
         When the row sums drift from 1 by more than ``TOL_SUM``.
     """
     blocks = _propagate_blocks(g, p0, t_end, steps, method)
-    states = np.empty((steps + 1, g.n))
-    for rows, block in blocks():
-        states[rows] = block
-    return Trajectory._adopt(times=uniform_grid(0.0, t_end, steps + 1), states=states,
-                             method=method)
+    times, states = np.empty(steps + 1), np.empty((steps + 1, g.n))
+    for rows, block_times, block, _ in blocks():
+        times[rows], states[rows] = block_times, block
+    return Trajectory._adopt(times=times, states=states, method=method)
 
 
 def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: int,
                       method: Method):
     """Validate a trajectory as :func:`integrate` does and return a function
-    whose every call propagates it anew, yielding ``(rows, states)`` per
-    block of ``_BLOCK_ROWS`` rows: the block's slice of the trajectory and
-    its states, in a buffer that the next block reuses.  A block whose row
-    sums drift from 1 by more than ``TOL_SUM`` raises
-    :class:`ProbabilityDrift`.  The times are checked here, before any step
-    matrix is built; point ``k`` of ``uniform_grid(0, t_end, steps + 1)``
-    is the time of row ``k``.
+    whose every call propagates it anew, yielding ``(rows, times, states,
+    cols)`` per block of ``_BLOCK_ROWS`` rows: its slice of the trajectory,
+    its points of ``uniform_grid(0, t_end, steps + 1)``, its states
+    (rows, N) and their one copy into columns (N, rows), which the drift
+    check, the monitor and the CSV writer read; both are buffers that the
+    next block reuses.  A block whose sums drift from 1 by more than
+    ``TOL_SUM`` raises :class:`ProbabilityDrift`.  The times are checked
+    here, before any step matrix is built.
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
@@ -171,32 +171,27 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
     def blocks():
         block = first
         for start in range(0, steps + 1, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, steps + 1)
             if start:
-                nxt = buffers[start // _BLOCK_ROWS % 2, :min(_BLOCK_ROWS, steps + 1 - start)]
-                block = np.matmul(block[:nxt.shape[0]], advance, out=nxt)
-            _check_drift(block, cols[:, :block.shape[0]])
-            yield slice(start, start + block.shape[0]), block
+                block = np.matmul(block[:stop - start], advance,
+                                  out=buffers[start // _BLOCK_ROWS % 2, :stop - start])
+            block_cols = cols[:, :stop - start]
+            np.copyto(block_cols, block.T)
+            _check_drift(block_cols)
+            yield (slice(start, stop), uniform_grid(0.0, t_end, steps + 1, start, stop),
+                   block, block_cols)
 
     return blocks
 
 
-def _row_sums(states: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The row sums of ``states`` (T, N), formed across columns: the block
-    is copied into ``cols`` (N, T) and its N columns are added in index
-    order, N vector steps instead of one short inner loop per row.  numpy
-    adds a contiguous row of fewer than 8 values in index order too, so for
-    N <= 7 these are the bytes of ``states.sum(axis=1)``; from N = 8 on it
-    sums a row pairwise, and the two may differ by a few ulp.
-    """
-    np.copyto(cols, states.T)
-    return np.sum(cols, axis=0, out=out)
-
-
-def _check_drift(states: np.ndarray, cols: np.ndarray) -> None:
-    """Raise :class:`ProbabilityDrift` when a row sum of ``states`` is NaN
-    or drifts from 1 by more than ``TOL_SUM``; ``cols`` is the workspace of
-    :func:`_row_sums`."""
-    drift = np.abs(_row_sums(states, cols) - 1.0).max()
+def _check_drift(cols: np.ndarray) -> None:
+    """Raise :class:`ProbabilityDrift` when a column sum of the states
+    ``cols`` (N, T) is NaN or drifts from 1 by more than ``TOL_SUM``.  The
+    N rows are added in index order, N vector steps on contiguous columns;
+    numpy adds a contiguous row of fewer than 8 values in index order too,
+    so for N <= 7 these are the bytes of the (T, N) row sums; from N = 8 on
+    it sums a row pairwise, and the two may differ by a few ulp."""
+    drift = np.abs(np.sum(cols, axis=0) - 1.0).max()
     if not drift <= TOL_SUM:
         raise ProbabilityDrift(drift, TOL_SUM)
 
@@ -299,42 +294,45 @@ def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSerie
         sigma = qt.entropy.sigma
     values = np.empty((3, traj.times.size))
     rows_of = _monitor_rows(sigma, traj.n)
+    cols = np.empty((traj.n, _BLOCK_ROWS))
     for start in range(0, traj.times.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        rows_of(traj.states[rows], values[:, rows])
+        block = cols[:, :len(traj.states[rows])]
+        np.copyto(block, traj.states[rows].T)
+        rows_of(block, values[:, rows])
     return MonitorSeries._adopt(h_vals=values[0], s_vals=None if sigma is None else values[1],
                                 s_bs_vals=values[2])
 
 
 def _monitor_rows(sigma: np.ndarray | None, n: int):
-    """Return a function that writes H, S and S_BS of each row of a block
-    of at most ``_BLOCK_ROWS`` states of dimension ``n`` into the three
-    rows of ``out`` (by default a buffer of its own, which the next call
-    reuses) and returns them as columns, S left out when ``sigma`` is None.
+    """Return a function that takes a block of at most ``_BLOCK_ROWS``
+    states of dimension ``n`` as columns (n, rows), the copy that
+    :func:`_propagate_blocks` yields, writes H, S and S_BS of each state
+    into the three rows of ``out`` (by default a buffer of its own, which
+    the next call reuses) and returns them as columns, S left out when
+    ``sigma`` is None.
 
-    H is the row sum, S = p' sigma p / 2 and S_BS = -sum p log p with
+    H is the state's sum, S = p' sigma p / 2 and S_BS = -sum p log p with
     0 * log 0 = 0: one formula each for :func:`monitor` and the streamed
-    ``simulate`` table, on a workspace allocated once.  The block is copied
-    once into an (n, rows) workspace and each quantity is summed across its
-    columns, so every numpy step covers the whole block.  H and S_BS add
-    the n terms of a row in index order (see :func:`_row_sums`).  S adds
-    the n^2 terms ``(p_i sigma_ij) p_j`` one by one from 0, i outer and j
-    inner, in n steps of n + 1 rows each: the order of
-    ``einsum("ti,ij,tj->t")``, except on blocks of one or two rows at
-    n = 2, where einsum groups the terms by i.
+    ``simulate`` table, on a workspace allocated once.  Each quantity is
+    summed across the columns, so every numpy step covers the whole block.
+    H and S_BS add the n terms of a state in index order (see
+    :func:`_check_drift`).  S adds the n^2 terms ``(p_i sigma_ij) p_j`` one
+    by one from 0, i outer and j inner, in n steps of n + 1 rows each: the
+    order of ``einsum("ti,ij,tj->t")``, except on blocks of one or two rows
+    at n = 2, where einsum groups the terms by i.
     """
     buffer = np.empty((3, _BLOCK_ROWS))
-    cols = np.empty((n, _BLOCK_ROWS))
     log = np.empty((n, _BLOCK_ROWS))
     positive = np.empty((n, _BLOCK_ROWS), bool)
     # row 0: S so far; rows 1..n: the terms of one i
     terms = np.empty((n + 1, _BLOCK_ROWS))
 
-    def rows_of(states, out=None):
-        size = states.shape[0]
+    def rows_of(p, out=None):
+        size = p.shape[1]
         h, s, s_bs = buffer[:, :size] if out is None else out
-        p, lg, pos, t = cols[:, :size], log[:, :size], positive[:, :size], terms[:, :size]
-        _row_sums(states, p, out=h)
+        lg, pos, t = log[:, :size], positive[:, :size], terms[:, :size]
+        np.sum(p, axis=0, out=h)
         if sigma is not None:
             s.fill(0.0)
             for i in range(n):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -25,8 +26,9 @@ from qtpme import (
     monitor,
     monotonicity,
     rate_matrix_from_json,
+    yd,
 )
-from qtpme.errors import ValidationError
+from qtpme.errors import QtpmeError, ValidationError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -391,6 +393,30 @@ def test_out_path_that_cannot_be_opened_is_input_error(tmp_path, args, target):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_write_that_fails_once_the_file_is_open_is_internal_error():
+    # /dev/full opens like a file, and every write to it fails with ENOSPC
+    proc = run_cli("classify", "--rates", str(DATA / "rates_cyclic.json"), "--out", "/dev/full")
+    first = assert_error_lines(proc, 3, "OSError")
+    assert f"[Errno {errno.ENOSPC}]" in first
+    assert json.loads(proc.stderr.splitlines()[-1])["exit_code"] == 3
+
+
+def test_bare_library_error_is_internal_error(monkeypatch):
+    def fail(params):
+        raise QtpmeError("no report")
+
+    monkeypatch.setattr(yd, "yd_consistency", fail)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["yd", "check", "--a1", "1", "--f1", "1", "--d", "1", "--e", "1"])
+    assert code == 3
+    assert out.getvalue() == ""
+    first, second = err.getvalue().splitlines()
+    assert first == "error: no report"
+    assert json.loads(second) == {"error": "QtpmeError", "message": "no report", "exit_code": 3}
+
+
 def test_sweep_overflow_in_the_last_block_writes_nothing(tmp_path):
     # D ~ a^2 overflows only for a above 1.34e154, in the last of four blocks
     ranges, steps = ((0.0, 1.4e154), (0.0, 1.0)), (20000, 3)
@@ -463,6 +489,33 @@ def test_simulate_streams_the_library_trajectory(method):
     rows = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
     expected = np.column_stack([traj.times, traj.states, series.h_vals, series.s_vals,
                                 series.s_bs_vals])
+    assert rows.tobytes() == (expected + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 30])
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_simulate_streams_the_library_trajectory_from_n_8(tmp_path, method, n):
+    # from 8 states on H and S_BS are summed pairwise; three full blocks of
+    # 4096 rows and a short one
+    rng = np.random.default_rng(n)
+    rates = 10.0 ** rng.uniform(-1.0, 1.0, (n, n))
+    np.fill_diagonal(rates, 0.0)
+    path = rates_file(tmp_path, rates)
+    p0 = rng.dirichlet(np.ones(n))
+    w = rate_matrix_from_json(json.loads(path.read_text(encoding="utf-8")))
+    steps = 3 * 4096 + 4
+    traj = integrate(generator_from_rates(w), ProbabilityVector(p0), 5.0, steps, Method(method))
+    series = monitor(traj, decompose(w))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["simulate", "--rates", str(path), "--p0", ",".join(map(repr, p0.tolist())),
+                         "--t-end", "5", "--steps", str(steps), "--method", method,
+                         "--monitor"])
+    assert code == 0
+    rows = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
+    expected = np.column_stack([traj.times, traj.states, series.h_vals, series.s_vals,
+                                series.s_bs_vals])
+    assert rows.shape == (steps + 1, n + 4)
     assert rows.tobytes() == (expected + 0.0).tobytes()
 
 

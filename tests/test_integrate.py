@@ -359,11 +359,12 @@ def test_monitor_rows_keep_the_bytes_of_the_row_formulas(n):
     for size in (_BLOCK_ROWS, 1000, 3):
         states = stiff_rows(rng, n, size)
         assert (states == 0.0).any() and (states < 0.0).any()
-        for got, want in zip(rows_of(states), monitor_reference(states, sigma)):
+        for got, want in zip(rows_of(np.ascontiguousarray(states.T)),
+                             monitor_reference(states, sigma)):
             np.testing.assert_array_equal(got, want)
     # on one or two rows at n = 2, einsum groups S's terms by i instead
     states = stiff_rows(rng, n, 2)
-    _, s, _ = rows_of(states)
+    _, s, _ = rows_of(np.ascontiguousarray(states.T))
     assert np.abs(s - monitor_reference(states, sigma)[1]).max() <= np.spacing(np.abs(s)).max()
 
 
@@ -373,7 +374,7 @@ def test_monitor_rows_move_h_and_s_bs_by_a_few_ulp_from_n_8(n):
     rng = np.random.default_rng(n)
     sigma = random_sigma(rng, n)
     states = stiff_rows(rng, n, _BLOCK_ROWS)
-    h, s, s_bs = _monitor_rows(sigma, n)(states)
+    h, s, s_bs = _monitor_rows(sigma, n)(np.ascontiguousarray(states.T))
     h_ref, s_ref, s_bs_ref = monitor_reference(states, sigma)
     np.testing.assert_array_equal(s, s_ref)
     for got, want in ((h, h_ref), (s_bs, s_bs_ref)):
