@@ -501,14 +501,15 @@ def test_simulate_streams_the_library_trajectory_from_n_8(tmp_path, method, n):
     rates = 10.0 ** rng.uniform(-1.0, 1.0, (n, n))
     np.fill_diagonal(rates, 0.0)
     path = rates_file(tmp_path, rates)
-    p0 = rng.dirichlet(np.ones(n))
+    p0 = rng.dirichlet(np.ones(n)).tolist()
     w = rate_matrix_from_json(json.loads(path.read_text(encoding="utf-8")))
     steps = 3 * 4096 + 4
-    traj = integrate(generator_from_rates(w), ProbabilityVector(p0), 5.0, steps, Method(method))
+    traj = integrate(generator_from_rates(w), ProbabilityVector(np.array(p0)), 5.0, steps,
+                     Method(method))
     series = monitor(traj, decompose(w))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["simulate", "--rates", str(path), "--p0", ",".join(map(repr, p0.tolist())),
+        code = cli.main(["simulate", "--rates", str(path), "--p0", ",".join(map(repr, p0)),
                          "--t-end", "5", "--steps", str(steps), "--method", method,
                          "--monitor"])
     assert code == 0
