@@ -48,26 +48,20 @@ def _observed() -> bool:
 
 
 def run() -> None:
-    """Run the command line, flush its output and end the process.
+    """Run the command line and end the process.
 
     Once the output is flushed a command has nothing left to do, but the
     interpreter's teardown would still finalise every module and free the
     import-time heap of numpy, argparse and qtpme object by object: on a
     2-vCPU machine, 7-8 ms from the end of the command to the process being
     reaped, against about 2 ms for ``os._exit``.  So the process ends with
-    ``os._exit``, and ``atexit`` hooks (none of this program's) do not run.  Files the
-    command writes are closed by the command itself.  A reader that closes
-    stdout before the final flush ends the command quietly with exit 0, as
-    in :func:`qtpme.cli.main`.  Under a tracer or profiler (``python -m
-    cProfile -m qtpme ...``, coverage) the process exits normally, so the
-    tool can write its report.
+    ``os._exit``, and ``atexit`` hooks (none of this program's) do not run.
+    The command flushes stdout and closes its files itself (see
+    :func:`qtpme.cli.main`); stderr is flushed here.  Under a tracer or
+    profiler (``python -m cProfile -m qtpme ...``, coverage) the process
+    exits normally, so the tool can write its report.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
     sys.stderr.flush()
     if _observed():
         sys.exit(code)

@@ -83,8 +83,9 @@ def _emit(text: str, fh) -> None:
 
 def _write(chunks, out_path: str | None) -> None:
     """Stream text chunks to stdout or to a new file at ``out_path``, each
-    through ``_emit`` as it is produced.  An ``--out`` path that cannot be
-    opened is an input error; a failure once the file is open is not."""
+    through ``_emit`` as it is produced, then flush it, so that a reader
+    that left early raises here.  An ``--out`` path that cannot be opened
+    is an input error; a failure once the file is open is not."""
     try:
         fh = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8",
                                                       newline="")
@@ -93,6 +94,7 @@ def _write(chunks, out_path: str | None) -> None:
     try:
         for chunk in chunks:
             _emit(chunk, fh)
+        fh.flush()
     finally:
         if out_path is not None:
             fh.close()
@@ -172,7 +174,7 @@ def _cmd_simulate(args):
         monitor_rows = _monitor_rows(sigma, g.n)
 
     def columns(block):
-        _, times, _, cols = block
+        _, times, cols = block
         if monitor_rows is None:
             return [times, *cols]
         return [times, *cols, *monitor_rows(cols)]

@@ -35,6 +35,8 @@ class Method(enum.Enum):
 class Trajectory(_Frozen):
     """Sampled solution p(t): row ``states[k]`` is the state at ``times[k]``.
 
+    ``states`` is a copy in column order, the layout :func:`integrate`
+    propagates in; no time points or no states raise :class:`BadShape`.
     The row sums carry whatever drift the integrator produced; they are
     checked against ``TOL_SUM`` but never rescaled, so a broken
     generator shows up here instead of being hidden.
@@ -44,13 +46,14 @@ class Trajectory(_Frozen):
 
     def __init__(self, times: np.ndarray, states: np.ndarray, method: Method) -> None:
         times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size:
-            raise BadShape("times must be 1-D and states (T, N) with matching T")
+        states = np.array(states, dtype=float, order="F")
+        if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size or not states.size:
+            raise BadShape("times must be 1-D and states (T, N) with matching T >= 1, N >= 1")
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("times must be strictly increasing")
         _check_drift(states.T)
-        self._set(times=_frozen_array(times), states=_frozen_array(states), method=method)
+        states.setflags(write=False)
+        self._set(times=_frozen_array(times), states=states, method=method)
 
     @property
     def n(self) -> int:
@@ -91,8 +94,9 @@ def integrate(
     one step is the stability polynomial ``R(h*m)`` (see :func:`_taylor`),
     applied the same way.  The first ``_BLOCK_ROWS`` states are built by
     doubling, and each later block of as many states is the block before
-    advanced by ``T^_BLOCK_ROWS`` (see :func:`_propagate_blocks`).  Neither
-    method renormalizes the state: sum drift is reported, not repaired.
+    advanced by ``T^_BLOCK_ROWS`` (see :func:`_propagate_blocks`), into one
+    frozen (N, T) array: ``states`` is its view.  Neither method
+    renormalizes the state: sum drift is reported, not repaired.
 
     Raises
     ------
@@ -109,23 +113,25 @@ def integrate(
         When the row sums drift from 1 by more than ``TOL_SUM``.
     """
     blocks = _propagate_blocks(g, p0, t_end, steps, method)
-    times, states = np.empty(steps + 1), np.empty((steps + 1, g.n))
-    for rows, block_times, block, _ in blocks():
-        times[rows], states[rows] = block_times, block
-    return Trajectory._adopt(times=times, states=states, method=method)
+    times, states = np.empty(steps + 1), np.empty((g.n, steps + 1))
+    for rows, block_times, block in blocks():
+        times[rows], states[:, rows] = block_times, block
+    states.setflags(write=False)
+    return Trajectory._adopt(times=times, states=states.T, method=method)
 
 
 def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: int,
                       method: Method):
     """Validate a trajectory as :func:`integrate` does and return a function
-    whose every call propagates it anew, yielding ``(rows, times, states,
-    cols)`` per block of ``_BLOCK_ROWS`` rows: its slice of the trajectory,
-    its points of ``uniform_grid(0, t_end, steps + 1)``, its states
-    (rows, N) and their one copy into columns (N, rows), which the drift
-    check, the monitor and the CSV writer read; both are buffers that the
-    next block reuses.  A block whose sums drift from 1 by more than
-    ``TOL_SUM`` raises :class:`ProbabilityDrift`.  The times are checked
-    here, before any step matrix is built.
+    whose every call propagates it anew, yielding ``(rows, times, cols)``
+    per block of ``_BLOCK_ROWS`` rows: its slice of the trajectory, its
+    points of ``uniform_grid(0, t_end, steps + 1)`` and its states as
+    columns (N, rows), ``T @ cols``, in a buffer that a later block reuses;
+    the drift check, the monitor and the CSV writer read them as they are.
+    From N = 8 on, depending on the CPU's BLAS kernel, a state may differ
+    by an ulp from the row-major ``rows @ T'``.  A block whose sums drift
+    from 1 by more than ``TOL_SUM`` raises :class:`ProbabilityDrift`.  The
+    times are checked here, before any step matrix is built.
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
@@ -153,33 +159,29 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
     else:
         raise ValidationError(f"unknown method {method!r}")
 
-    # Rows [k, 2k) are rows [0, k) advanced by T^k; T^k then squares, and
-    # its last square, T^B, advances every later block of B rows.
-    first = np.empty((min(steps + 1, _BLOCK_ROWS), g.n))
-    first[0] = p0.entries
+    # Columns [k, 2k) are columns [0, k) advanced by T^k; T^k then squares,
+    # and its last square, T^B, advances every later block of B columns.
+    first = np.empty((g.n, min(steps + 1, _BLOCK_ROWS)))
+    first[:, 0] = p0.entries
     k = 1
-    while k < first.shape[0]:
+    while k < first.shape[1]:
         power = _conserving(power, floor)
-        count = min(k, first.shape[0] - k)
-        first[k:k + count] = first[:count] @ power.T
+        count = min(k, first.shape[1] - k)
+        first[:, k:k + count] = power @ first[:, :count]
         power = power @ power
         k *= 2
-    advance = _conserving(power, floor).T
+    advance = _conserving(power, floor)
     buffers = np.empty((2,) + first.shape)
-    cols = np.empty(first.shape[::-1])
 
     def blocks():
         block = first
         for start in range(0, steps + 1, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, steps + 1)
             if start:
-                block = np.matmul(block[:stop - start], advance,
-                                  out=buffers[start // _BLOCK_ROWS % 2, :stop - start])
-            block_cols = cols[:, :stop - start]
-            np.copyto(block_cols, block.T)
-            _check_drift(block_cols)
-            yield (slice(start, stop), uniform_grid(0.0, t_end, steps + 1, start, stop),
-                   block, block_cols)
+                block = np.matmul(advance, block[:, :stop - start],
+                                  out=buffers[start // _BLOCK_ROWS % 2, :, :stop - start])
+            _check_drift(block)
+            yield slice(start, stop), uniform_grid(0.0, t_end, steps + 1, start, stop), block
 
     return blocks
 
@@ -286,6 +288,7 @@ def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSerie
     h is the plain probability sum; the quadratic entropy p' sigma p / 2 is
     filled in when a decomposition is supplied; the Boltzmann-Shannon
     entropy uses the convention 0 * log 0 = 0.  See :func:`_monitor_rows`.
+    Each block of states is copied once, as contiguous rows, into a workspace.
     """
     sigma = None
     if qt is not None:
@@ -306,7 +309,7 @@ def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSerie
 
 def _monitor_rows(sigma: np.ndarray | None, n: int):
     """Return a function that takes a block of at most ``_BLOCK_ROWS``
-    states of dimension ``n`` as columns (n, rows), the copy that
+    states of dimension ``n`` as columns (n, rows), the layout that
     :func:`_propagate_blocks` yields, writes H, S and S_BS of each state
     into the three rows of ``out`` (by default a buffer of its own, which
     the next call reuses) and returns them as columns, S left out when

@@ -13,6 +13,7 @@ from qtpme import (
     ProbabilityVector,
     RateMatrix,
     RelaxationKind,
+    decompose,
     decompose_3state,
     discriminant,
     extrema_count,
@@ -260,6 +261,15 @@ def test_sum_drift_is_a_solver_error():
         assert not isinstance(exc.value, ValidationError)
 
 
+@pytest.mark.parametrize("times, states", [
+    (np.array([]), np.empty((0, 3))),
+    (np.linspace(0.0, 1.0, 3), np.empty((3, 0))),
+], ids=["no time points", "no state columns"])
+def test_empty_trajectory_is_bad_shape(times, states):
+    with pytest.raises(BadShape):
+        Trajectory(times=times, states=states, method=Method.EXACT)
+
+
 def test_integrate_validates_arguments(rng):
     g = generator_from_rates(random_rate_matrix(rng))
     p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
@@ -393,6 +403,30 @@ def test_monitor_matches_the_row_formulas_across_blocks():
     np.testing.assert_array_equal(series.h_vals, h)
     np.testing.assert_array_equal(series.s_vals, s)
     np.testing.assert_array_equal(series.s_bs_vals, s_bs)
+
+
+def test_trajectory_states_are_stored_in_columns(rng):
+    # one (N, T) array, frozen itself and not only through its (T, N) view
+    g = generator_from_rates(random_rate_matrix(rng))
+    traj = integrate(g, ProbabilityVector(np.array([1.0, 0.0, 0.0])), t_end=1.0, steps=100)
+    rebuilt = Trajectory(traj.times, np.ascontiguousarray(traj.states), traj.method)
+    assert not traj.states.base.flags.writeable
+    for states in (traj.states, rebuilt.states):
+        assert states.flags.f_contiguous and not states.flags.writeable
+
+
+@pytest.mark.parametrize("n", [8, 30])
+def test_monitor_reads_a_rebuilt_trajectory_with_the_same_bytes(n):
+    # numpy sums a strided (N, rows) view pairwise, which would move H from
+    # 8 states on; the monitor's copy into columns keeps the bytes of any layout
+    rng = np.random.default_rng(n)
+    w = random_rate_matrix(rng, n)
+    qt = decompose(w)
+    traj = integrate(generator_from_rates(w), ProbabilityVector(np.eye(n)[0]), t_end=5.0,
+                     steps=2 * _BLOCK_ROWS + 10)
+    rebuilt = Trajectory(traj.times, np.ascontiguousarray(traj.states), traj.method)
+    for got, want in zip(monitor(rebuilt, qt)._values(), monitor(traj, qt)._values()):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_extrema_count_monotone_decay():

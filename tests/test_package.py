@@ -163,7 +163,7 @@ def test_reader_that_leaves_early_gets_exit_zero():
 
 
 def test_stdout_closed_before_the_final_flush_gets_exit_zero():
-    # validate's few bytes stay buffered until the entry point's own flush
+    # validate's few bytes stay buffered until the writer flushes after its last chunk
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
