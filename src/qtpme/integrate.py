@@ -102,9 +102,9 @@ def integrate(
     ------
     ValidationError
         When ``steps`` is below 1 or above ``core.MAX_COUNT``, ``t_end``
-        is not finite and positive, or ``t_end/steps`` is too small to give
-        strictly increasing times; in RK4 mode when an eigenvalue of the
-        generator overflows.
+        is not finite and positive, or two times would be equal: the step
+        ``t_end/steps`` underflows to 0, or is subnormal and puts the last
+        two together; in RK4 mode when a generator eigenvalue overflows.
     UnstableStep
         In RK4 mode when the step lies outside the stability region for
         some generator eigenvalue; the error names the smallest stable
@@ -131,7 +131,7 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
     From N = 8 on, depending on the CPU's BLAS kernel, a state may differ
     by an ulp from the row-major ``rows @ T'``.  A block whose sums drift
     from 1 by more than ``TOL_SUM`` raises :class:`ProbabilityDrift`.  The
-    times are checked here, before any step matrix is built.
+    times are checked here in O(1), before any step matrix is built.
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
@@ -140,14 +140,14 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
     check_count(steps, "steps (--steps)")
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(f"t_end (--t-end) must be finite and positive, got {t_end}")
-    last = -np.inf
-    for start in range(0, steps + 1, _BLOCK_ROWS):
-        times = uniform_grid(0.0, t_end, steps + 1, start, min(start + _BLOCK_ROWS, steps + 1))
-        if not (times[0] > last and np.all(times[1:] > times[:-1])):
-            raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
-                                  "is too small to give strictly increasing times")
-        last = times[-1]
+    # The grid's point k < steps is fl(k*h) and its last point is t_end.  For
+    # h > 0 and steps <= 2**24 the float spacing near k*h is below h, so times
+    # repeat only when h underflows to 0 (fewer than steps + 1 doubles lie in
+    # [0, t_end]) or when a subnormal h rounded up puts point steps-1 at or past t_end.
     h = t_end / steps
+    if not (h > 0.0 and (steps - 1) * h < t_end):
+        raise ValidationError(f"the step t_end/steps (--t-end/--steps) = {t_end}/{steps} "
+                              "is too small to give strictly increasing times")
     if method is Method.EXACT:
         power, floor = _step_matrix(g.m, h), 0.0
     elif method is Method.RK4:
@@ -365,7 +365,9 @@ def extrema_count(traj: Trajectory, component: int, tol: float | None = None) ->
     ``component`` is an integer index in ``[0, traj.n)``; anything else
     raises :class:`BadShape`.
     """
-    if not (isinstance(component, (int, np.integer)) and 0 <= component < traj.n):
+    # bool is a subclass of int, and numpy reads True or False as a mask
+    if not (isinstance(component, (int, np.integer)) and not isinstance(component, bool)
+            and 0 <= component < traj.n):
         raise BadShape(f"component must be an integer in [0, {traj.n}), got {component!r}")
     if traj.times.size < 3:
         raise ValidationError("extrema counting needs at least 3 time points")

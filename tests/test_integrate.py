@@ -24,8 +24,9 @@ from qtpme import (
     stationary_distribution,
     validate_rates,
 )
+from qtpme.core import MAX_COUNT, uniform_grid
 from qtpme.errors import BadShape, ProbabilityDrift, SolverError, UnstableStep, ValidationError
-from qtpme.integrate import _BLOCK_ROWS, Trajectory, _monitor_rows
+from qtpme.integrate import _BLOCK_ROWS, Trajectory, _monitor_rows, _propagate_blocks
 
 from conftest import random_probability, random_rate_matrix
 
@@ -281,10 +282,11 @@ def test_integrate_validates_arguments(rng):
 
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("t_end, steps", [(math.inf, 8), (math.nan, 8), (5e-324, 8),
-                                          (1e-320, 10_000)])
+                                          (1e-320, 10_000), (1.5e-323, 4)])
 def test_integrate_rejects_unusable_time_steps(monkeypatch, method, t_end, steps):
     # a non-finite t_end, or a step t_end/steps that leaves equal times, is an
-    # input error named as such, raised before any step matrix is built
+    # input error named as such, raised before any step matrix is built; at
+    # (1.5e-323, 4) the step is 5e-324 > 0 and only the last two times are equal
     g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0))
     p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
     module = sys.modules["qtpme.integrate"]
@@ -294,6 +296,44 @@ def test_integrate_rejects_unusable_time_steps(monkeypatch, method, t_end, steps
         with pytest.raises(ValidationError, match="t_end") as exc:
             integrate(g, p0, t_end=t_end, steps=steps, method=method)
     assert "--t-end" in str(exc.value)
+
+
+def grid_times_increase(t_end, steps):
+    """Whether ``uniform_grid(0, t_end, steps + 1)`` strictly increases,
+    compared block by block: the reference for the one-comparison rule."""
+    last = -np.inf
+    for start in range(0, steps + 1, _BLOCK_ROWS):
+        times = uniform_grid(0.0, t_end, steps + 1, start, min(start + _BLOCK_ROWS, steps + 1))
+        if not (times[0] > last and np.all(times[1:] > times[:-1])):
+            return False
+        last = times[-1]
+    return True
+
+
+def test_time_step_rule_refuses_exactly_where_the_grid_repeats_a_time():
+    # the rule in _propagate_blocks never builds the grid; it must agree with
+    # the grid itself on tiny multiples of the smallest subnormal, around the
+    # block size, on random normal and subnormal draws and at MAX_COUNT steps
+    g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0))
+    p0 = ProbabilityVector(np.array([1.0, 0.0, 0.0]))
+    draws = np.random.default_rng(27)
+    cases = [(j * 5e-324, steps) for j in range(1, 13)
+             for steps in [*range(1, 41), 4095, 4096, 4097]]
+    cases += [(float(j) * 5e-324, int(steps)) for j, steps in
+              zip(draws.integers(1, 1 << 14, 200), draws.integers(1, 1 << 13, 200))]
+    cases += [(float(10.0 ** e), int(steps)) for e, steps in
+              zip(draws.uniform(-323.5, 308.0, 200), draws.integers(1, 1 << 13, 200))]
+    cases += [(t_end, steps) for t_end in (1.0, 1e-300, 2.2e-308, 1.797e308, 1e-310)
+              for steps in (MAX_COUNT, MAX_COUNT - 1)]
+    refused = 0
+    for t_end, steps in cases:
+        if grid_times_increase(t_end, steps):
+            _propagate_blocks(g, p0, t_end, steps, Method.EXACT)
+        else:
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                _propagate_blocks(g, p0, t_end, steps, Method.EXACT)
+            refused += 1
+    assert 0 < refused < len(cases)
 
 
 def test_monitor_totals_and_entropies(rng):
@@ -469,7 +509,7 @@ def test_extrema_count_needs_three_points(rng):
         extrema_count(traj, 0)
 
 
-@pytest.mark.parametrize("component", [3, -1, 1.5, "0", None])
+@pytest.mark.parametrize("component", [3, -1, 1.5, "0", None, True, False])
 def test_extrema_count_rejects_a_bad_component(component):
     # an index outside [0, n), or not an integer, is a typed input error
     g = generator_from_rates(RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0))
