@@ -312,7 +312,6 @@ def blocks(parts):
     keep[:, at] = True
     for off, _, _, masks in texts:
         buf[:, off] = ord(",")
-        keep[:, off:off + masks.itemsize] = masks[-1:].view(bool)  # text of full width
     values = [np.empty((size, len(run))) for _, run in floats]
 
     while columns is not None:
@@ -323,9 +322,8 @@ def blocks(parts):
             if text.dtype.itemsize != width:
                 raise ValueError(f"text column {i} is {text.dtype.itemsize} bytes wide "
                                  f"in a later part, {width} in the first")
-            lengths = np.char.str_len(text)
             text_columns.append((off, text.view(np.uint8).reshape(rows, width),
-                                 None if (lengths == width).all() else lengths, masks))
+                                 np.char.str_len(text), masks))
         for start in range(0, rows, size):
             stop = min(start + size, rows)
             n = stop - start
@@ -341,8 +339,7 @@ def blocks(parts):
                 keep[:n, off:end] = t.masks[rows_at].view(bool)
             for off, text, lengths, masks in text_columns:
                 buf[:n, off + 1:off + 1 + text.shape[1]] = text[start:stop]
-                if lengths is not None:
-                    mask = masks[lengths[start:stop]].view(bool)
-                    keep[:n, off:off + masks.itemsize] = mask.reshape(n, -1)
+                mask = masks[lengths[start:stop]].view(bool)
+                keep[:n, off:off + masks.itemsize] = mask.reshape(n, -1)
             yield buf[:n][keep[:n]].tobytes().decode("ascii")
         columns = next(parts, None)

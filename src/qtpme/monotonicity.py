@@ -77,30 +77,30 @@ def discriminant_values(a, b, c, d, e, f):
     return xi * xi - 4.0 * q, xi, q
 
 
-def _unscaled(x, e):
-    """``x * 2**e``; ValidationError where the rates overflow it."""
+def _unscaled(x, e, out=None):
+    """``x * 2**e``, into ``out`` if given; ValidationError where the rates
+    overflow it."""
     with np.errstate(over="ignore"):
-        x = np.ldexp(x, e)
+        x = np.ldexp(x, e, out=out)
     if not np.isfinite(x).all():
         raise ValidationError("discriminant is not finite: the rates are too large for xi^2 - 4q")
     return x
 
 
-def _class_index(disc, xi):
-    """Class index 0/1/2 (O/B/M) of a discriminant at the boundary
-    tolerance, as int8; all-zero rates (xi = 0, D = 0) fall on the
-    boundary."""
-    tol = TOL_B * (xi * xi)
-    index = np.ones(np.broadcast(disc, xi).shape, np.int8)
-    index += disc > tol
-    index -= disc < -tol
+def _class_index(disc, band):
+    """Class index 0/1/2 (O/B/M) of a discriminant against its boundary
+    band ``TOL_B * (xi * xi)``, as int8; all-zero rates (xi = 0, D = 0)
+    fall on the boundary."""
+    index = np.ones(np.broadcast(disc, band).shape, np.int8)
+    index += disc > band
+    index -= disc < -band
     return index
 
 
 def classify_discriminant(disc, xi):
     """Class code 'O', 'B' or 'M' of each discriminant: the letter of its
     class index."""
-    return _LETTERS[_class_index(disc, xi)]
+    return _LETTERS[_class_index(disc, TOL_B * (xi * xi))]
 
 
 def discriminant(w: RateMatrix) -> RelaxationClass:
@@ -141,6 +141,50 @@ def ellipse_value(coords: UVWCoordinates) -> float:
     return 3.0 * u * u + v * v + 4.0 * omega * u + omega * omega
 
 
+#: ``discriminant_values`` up to its last subtraction, as binary steps
+#: ``(result, ufunc, left, right)`` in its order of evaluation, so that a
+#: sweep can run them in workspaces and keep their bits; "4" is the
+#: constant of 4q
+_DISCRIMINANT_STEPS = (
+    ("xi", np.add, "a", "b"),
+    ("xi", np.add, "xi", "c"),
+    ("xi", np.add, "xi", "d"),
+    ("xi", np.add, "xi", "e"),
+    ("xi", np.add, "xi", "f"),
+    ("t", np.add, "d", "e"),
+    ("t", np.add, "t", "f"),
+    ("q", np.multiply, "a", "t"),
+    ("t", np.add, "c", "d"),
+    ("t", np.add, "t", "f"),
+    ("t", np.multiply, "b", "t"),
+    ("q", np.add, "q", "t"),
+    ("t", np.add, "e", "f"),
+    ("t", np.multiply, "c", "t"),
+    ("q", np.add, "q", "t"),
+    ("t", np.multiply, "d", "e"),
+    ("q", np.add, "q", "t"),
+    ("xi2", np.multiply, "xi", "xi"),
+    ("q", np.multiply, "4", "q"),
+)
+
+#: the workspace of each step result; xi^2 takes t's, which is done with
+_WORKSPACE = {"xi": 0, "q": 1, "t": 2, "xi2": 2}
+
+
+def _discriminant_plan(axis1: str, axis2: str):
+    """``_DISCRIMINANT_STEPS`` as ``(result, ufunc, left, right, k)``, where
+    ``k`` is the workspace of a result that depends on both axes, and so
+    takes a whole block, and None for a scalar, grid column or grid row."""
+    deps = {name: {name} for name in COEFF_NAMES}
+    deps["4"] = set()
+    plan = []
+    for result, ufunc, left, right in _DISCRIMINANT_STEPS:
+        deps[result] = deps[left] | deps[right]
+        whole = {axis1, axis2} <= deps[result]
+        plan.append((result, ufunc, left, right, _WORKSPACE[result] if whole else None))
+    return plan
+
+
 def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resolution):
     """Validate a sweep and return its two grids and a function whose every
     call evaluates the grid anew, yielding ``(rows, cols, D, index)`` per
@@ -149,6 +193,10 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
     (0/1/2 = O/B/M).  A block is whole grid rows, or part of one row when a
     row is wider.  Each block is classified at unit size; one whose D
     overflows once scaled back raises ValidationError.
+
+    Each call allocates block-sized workspaces once and evaluates every
+    block's intermediates in them; the D and index arrays it yields are
+    fresh, so a caller may keep them.
     """
     if template.n != 3:
         raise BadShape(f"expected N=3 template, got N={template.n}")
@@ -179,20 +227,28 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
     # the formula's intermediates, at unit size, take the block's shape.
     values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
     scaled, e = unit_scaled([values[name] for name in COEFF_NAMES])
-    values = dict(zip(COEFF_NAMES, scaled))
+    values = {**dict(zip(COEFF_NAMES, scaled)), "4": 4.0}
     scaled1, scaled2 = np.ldexp(grid1, -e)[:, None], np.ldexp(grid2, -e)[None, :]
     height = max(1, _BLOCK_CELLS // grid2.size)
     width = min(grid2.size, _BLOCK_CELLS)
+    plan = _discriminant_plan(axis1, axis2)
 
     def blocks():
+        floats = np.empty((3, min(height, grid1.size) * width))
         for row in range(0, grid1.size, height):
             rows = slice(row, row + height)
             for col in range(0, grid2.size, width):
                 cols = slice(col, col + width)
-                cells = {**values, axis1: scaled1[rows], axis2: scaled2[:, cols]}
-                disc, xi, _ = discriminant_values(*(cells[name] for name in COEFF_NAMES))
-                index = _class_index(disc, xi)
-                yield rows, cols, _unscaled(disc, 2 * e), index
+                x1, x2 = scaled1[rows], scaled2[:, cols]
+                shape = (x1.shape[0], x2.shape[1])
+                work = floats[:, :shape[0] * shape[1]].reshape((3,) + shape)
+                v = {**values, axis1: x1, axis2: x2}
+                for result, ufunc, left, right, k in plan:
+                    v[result] = ufunc(v[left], v[right], out=None if k is None else work[k])
+                disc = v["xi2"] - v["q"]
+                band = np.multiply(TOL_B, v["xi2"], out=v["xi2"])
+                index = _class_index(disc, band)
+                yield rows, cols, _unscaled(disc, 2 * e, out=disc), index
 
     return grid1, grid2, blocks
 
@@ -223,11 +279,14 @@ def sweep(
     """
     grid1, grid2, blocks = _sweep_blocks(template, axis1, axis2, ranges, resolution)
     disc = np.empty((grid1.size, grid2.size))
-    index = np.empty(disc.shape, np.int8)
-    for rows, cols, block_disc, block_index in blocks():
-        disc[rows, cols], index[rows, cols] = block_disc, block_index
-    fraction = float(np.count_nonzero(index == 0)) / index.size
+    classes = np.empty(disc.shape, _LETTERS.dtype)
+    oscillatory = 0
+    for rows, cols, block_disc, index in blocks():
+        # take, unlike indexing by the int8 index, copies the letters at
+        # word speed; its intp copy of the index is one block's
+        disc[rows, cols], classes[rows, cols] = block_disc, _LETTERS.take(index)
+        oscillatory += np.count_nonzero(index == 0)
     return RegionMap._adopt(
-        axis1=axis1, axis2=axis2, grid1=grid1, grid2=grid2,
-        classes=_LETTERS[index], discriminants=disc, fraction_oscillatory=fraction,
+        axis1=axis1, axis2=axis2, grid1=grid1, grid2=grid2, classes=classes,
+        discriminants=disc, fraction_oscillatory=float(oscillatory) / disc.size,
     )

@@ -168,7 +168,9 @@ def _curve_blocks(params: YDParams, k_min: float, k_max: float, steps: int):
                 raise DegenerateDenominator(
                     "stationary denominator vanishes somewhere on the arousal grid"
                 )
-            yield k, num1 / denom, num2 / denom, num3 / denom
+            for num in (num1, num2, num3):
+                num /= denom
+            yield k, num1, num2, num3
 
     return blocks
 
@@ -182,7 +184,8 @@ def yd_curve(params: YDParams, k_min: float, k_max: float, steps: int) -> YDCurv
     blocks = _curve_blocks(params, k_min, k_max, steps)
     columns = np.empty((4, steps))
     for start, block in zip(range(0, steps, _BLOCK_POINTS), blocks()):
-        columns[:, start:start + _BLOCK_POINTS] = block
+        for column, values in zip(columns, block):
+            column[start:start + _BLOCK_POINTS] = values
     return YDCurve._adopt(k_grid=columns[0], rho1=columns[1], rho2=columns[2],
                           rho3=columns[3])
 

@@ -443,6 +443,17 @@ def test_degenerate_yd_curve_writes_no_file(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_prints_an_axis_value_of_full_width_after_shorter_ones():
+    # the rows of a = 0.5 follow a block of a = 0, whose text is one byte
+    proc = run_cli("sweep", "--rates", str(DATA / "rates_cyclic.json"),
+                   "--vary", "a:0:1:3", "--vary", "b:0.1:1:10000")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "a,b,class,D"
+    a = np.array([float(line.split(",", 1)[0]) for line in lines[1:]])
+    assert np.array_equal(a, np.repeat(np.linspace(0, 1, 3), 10000))
+
+
 def test_sweep_memory_does_not_grow_with_the_grid():
     # the whole-grid evaluation peaked at 157 MiB here
     argv = ["sweep", "--rates", str(DATA / "rates_126.json"),

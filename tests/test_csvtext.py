@@ -91,6 +91,18 @@ def test_parts_stream_through_one_buffer():
     assert "".join(csvtext.blocks(parts)) == written([labels, x])
 
 
+def test_a_part_of_full_width_texts_after_short_ones():
+    # each part's texts take their own masks: a part whose texts all have
+    # the column's full width keeps none of the part before it
+    short = np.array([b"0", b"1"] * 3, dtype="S3")
+    full = np.array([b"0.5", b"1.5"] * 3)
+    x = np.arange(12.0)
+    parts = [[short, x[:6]], [full, x[6:]], [short, x[:6]]]
+    texts = np.concatenate([short, full, short])
+    assert "".join(csvtext.blocks(parts)) == written([texts, np.concatenate([x, x[:6]])])
+    assert "".join(csvtext.blocks(parts)).splitlines()[6] == "0.5,6"
+
+
 def test_parts_keep_the_text_width_of_the_first():
     parts = [[np.array([b"M"]), np.ones(1)], [np.array([b"MO"]), np.ones(1)]]
     with pytest.raises(ValueError, match="text column 0 is 2 bytes wide"):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -206,14 +207,13 @@ def test_sweep_rejects_non_finite_bounds(ranges):
         sweep(template, "a", "b", ranges, 3)
 
 
-@pytest.mark.parametrize("steps", [(1, 1), (7, 3), (1, 40000), (3000, 7), (1000, 1000)])
-def test_sweep_blocks_match_the_whole_grid(steps):
-    # a row of 40000 cells spans three blocks; 3000x7 and 1000x1000 end in
-    # a partial block of whole rows
-    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
-    region = sweep(template, "e", "c", ((0.0, 2.0), (0.0, 3.0)), steps)
+def assert_sweep_matches_the_whole_grid(template, axes, ranges, steps):
+    """The blocked sweep has the bits of ``discriminant_values`` and
+    ``classify_discriminant`` evaluated on the whole grid at once."""
+    axis1, axis2 = axes
+    region = sweep(template, axis1, axis2, ranges, steps)
     values = dict(zip("abcdef", template.coeffs))
-    values["e"], values["c"] = region.grid1[:, None], region.grid2[None, :]
+    values[axis1], values[axis2] = region.grid1[:, None], region.grid2[None, :]
     disc, xi, _ = discriminant_values(*(values[name] for name in "abcdef"))
     disc = np.broadcast_to(disc, steps)
     assert region.discriminants.shape == steps
@@ -222,6 +222,26 @@ def test_sweep_blocks_match_the_whole_grid(steps):
     assert region.classes.dtype == np.dtype("<U1")
     assert np.array_equal(region.classes, classes)
     assert region.fraction_oscillatory == np.count_nonzero(classes == "O") / disc.size
+
+
+@pytest.mark.parametrize("steps", [(1, 1), (7, 3), (1, 40000), (3000, 7), (1000, 1000)])
+def test_sweep_blocks_match_the_whole_grid(steps):
+    # a row of 40000 cells spans three blocks; 3000x7 and 1000x1000 end in
+    # a partial block of whole rows
+    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
+    assert_sweep_matches_the_whole_grid(template, ("e", "c"), ((0.0, 2.0), (0.0, 3.0)), steps)
+
+
+@pytest.mark.parametrize("steps", [(1, 40000), (3000, 7), (130, 170)],
+                         ids=lambda steps: "x".join(map(str, steps)))
+@pytest.mark.parametrize("axes", list(itertools.combinations("abcdef", 2)), ids="".join)
+def test_sweep_blocks_match_the_whole_grid_for_every_axis_pair(axes, steps):
+    # which of the formula's intermediates take a whole block depends on
+    # which two coefficients vary, and along which grid axis
+    template = RateMatrix.from_coeffs(0.3, 1.7, 2.9, 0.55, 1.1, 4.2)
+    ranges = ((0.0, 2.0), (0.25, 5.0))
+    for pair in (axes, axes[::-1]):
+        assert_sweep_matches_the_whole_grid(template, pair, ranges, steps)
 
 
 def test_classify_discriminant_letters():

@@ -103,12 +103,15 @@ def test_yd_curve_validation():
         yd_curve(YDParams(a1=1, f1=1, d=1, e=0), 0.0, 1.0, 10)
 
 
-@pytest.mark.parametrize("steps", [2, 16385, 200000])
+@pytest.mark.parametrize("steps", [2, 16385, 3 * 16384 + 5, 200000])
 def test_yd_curve_blocks_match_the_whole_grid(steps):
-    # 16385 points are one block and one point
+    # 16385 points are one block and one point; 3 * 16384 + 5 end in a
+    # partial fourth block
     params = YDParams(a1=0.3, f1=2.0, d=3.0, e=0.1)
     curve = yd_curve(params, 0.0, 40.0, steps)
-    num1, num2, num3, denom = _stationary_parts(params, np.linspace(0.0, 40.0, steps))
+    k = np.linspace(0.0, 40.0, steps)
+    num1, num2, num3, denom = _stationary_parts(params, k)
+    assert np.array_equal(curve.k_grid.view(np.uint64), k.view(np.uint64))
     for got, num in ((curve.rho1, num1), (curve.rho2, num2), (curve.rho3, num3)):
         assert np.array_equal(got.view(np.uint64), (num / denom).view(np.uint64))
 
