@@ -224,7 +224,7 @@ def _cmd_sweep(args):
         rows, cols, disc, index = block
         height, width = disc.shape
         return [np.repeat(text1[rows], width), np.tile(text2[cols], height),
-                _CLASS_LETTERS[index].ravel(), disc.ravel()]
+                _CLASS_LETTERS.take(index).ravel(), disc.ravel()]
 
     return _table([ax1, ax2, "class", "D"], blocks, columns)
 

@@ -288,7 +288,11 @@ def null_count(s) -> int:
 
 
 def check_count(count: int, what: str, error=ValidationError) -> None:
-    """Raise ``error`` naming ``what`` when ``count`` exceeds ``MAX_COUNT``."""
+    """Raise ``error`` naming ``what`` unless ``count`` is an integer, and
+    not a bool, at most ``MAX_COUNT``."""
+    # bool is a subclass of int; a float or a string would fail later untyped
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+        raise error(f"{what} must be an integer, got {count!r}")
     if count > MAX_COUNT:
         raise error(f"{what} must be at most {MAX_COUNT} (2**24), got {count}")
 

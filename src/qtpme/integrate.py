@@ -135,9 +135,9 @@ def _propagate_blocks(g: Generator, p0: ProbabilityVector, t_end: float, steps: 
     """
     if g.n != p0.n:
         raise BadShape(f"generator dimension {g.n} does not match state {p0.n}")
+    check_count(steps, "steps (--steps)")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    check_count(steps, "steps (--steps)")
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(f"t_end (--t-end) must be finite and positive, got {t_end}")
     # The grid's point k < steps is fl(k*h) and its last point is t_end.  For
@@ -301,6 +301,10 @@ def monitor(traj: Trajectory, qt: QTDecomposition | None = None) -> MonitorSerie
     for start in range(0, traj.times.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         block = cols[:, :len(traj.states[rows])]
+        # rows_of gives the same bits on the strided transpose, but strided
+        # rows cost more than this one contiguous copy: at 10^5 steps on a
+        # 2-vCPU machine, 3.6-4.0 against 3.3-3.7 ms at N=3, 13.3-14.2
+        # against 11.2-12.3 at N=8 and 136-144 against 111-119 at N=30
         np.copyto(block, traj.states[rows].T)
         rows_of(block, values[:, rows])
     return MonitorSeries._adopt(h_vals=values[0], s_vals=None if sigma is None else values[1],

@@ -87,10 +87,11 @@ def _unscaled(x, e, out=None):
     return x
 
 
-def _class_index(disc, band):
+def _class_index(disc, xi):
     """Class index 0/1/2 (O/B/M) of a discriminant against its boundary
     band ``TOL_B * (xi * xi)``, as int8; all-zero rates (xi = 0, D = 0)
     fall on the boundary."""
+    band = TOL_B * (xi * xi)
     index = np.ones(np.broadcast(disc, band).shape, np.int8)
     index += disc > band
     index -= disc < -band
@@ -100,7 +101,7 @@ def _class_index(disc, band):
 def classify_discriminant(disc, xi):
     """Class code 'O', 'B' or 'M' of each discriminant: the letter of its
     class index."""
-    return _LETTERS[_class_index(disc, TOL_B * (xi * xi))]
+    return _LETTERS[_class_index(disc, xi)]
 
 
 def discriminant(w: RateMatrix) -> RelaxationClass:
@@ -141,50 +142,6 @@ def ellipse_value(coords: UVWCoordinates) -> float:
     return 3.0 * u * u + v * v + 4.0 * omega * u + omega * omega
 
 
-#: ``discriminant_values`` up to its last subtraction, as binary steps
-#: ``(result, ufunc, left, right)`` in its order of evaluation, so that a
-#: sweep can run them in workspaces and keep their bits; "4" is the
-#: constant of 4q
-_DISCRIMINANT_STEPS = (
-    ("xi", np.add, "a", "b"),
-    ("xi", np.add, "xi", "c"),
-    ("xi", np.add, "xi", "d"),
-    ("xi", np.add, "xi", "e"),
-    ("xi", np.add, "xi", "f"),
-    ("t", np.add, "d", "e"),
-    ("t", np.add, "t", "f"),
-    ("q", np.multiply, "a", "t"),
-    ("t", np.add, "c", "d"),
-    ("t", np.add, "t", "f"),
-    ("t", np.multiply, "b", "t"),
-    ("q", np.add, "q", "t"),
-    ("t", np.add, "e", "f"),
-    ("t", np.multiply, "c", "t"),
-    ("q", np.add, "q", "t"),
-    ("t", np.multiply, "d", "e"),
-    ("q", np.add, "q", "t"),
-    ("xi2", np.multiply, "xi", "xi"),
-    ("q", np.multiply, "4", "q"),
-)
-
-#: the workspace of each step result; xi^2 takes t's, which is done with
-_WORKSPACE = {"xi": 0, "q": 1, "t": 2, "xi2": 2}
-
-
-def _discriminant_plan(axis1: str, axis2: str):
-    """``_DISCRIMINANT_STEPS`` as ``(result, ufunc, left, right, k)``, where
-    ``k`` is the workspace of a result that depends on both axes, and so
-    takes a whole block, and None for a scalar, grid column or grid row."""
-    deps = {name: {name} for name in COEFF_NAMES}
-    deps["4"] = set()
-    plan = []
-    for result, ufunc, left, right in _DISCRIMINANT_STEPS:
-        deps[result] = deps[left] | deps[right]
-        whole = {axis1, axis2} <= deps[result]
-        plan.append((result, ufunc, left, right, _WORKSPACE[result] if whole else None))
-    return plan
-
-
 def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resolution):
     """Validate a sweep and return its two grids and a function whose every
     call evaluates the grid anew, yielding ``(rows, cols, D, index)`` per
@@ -192,11 +149,8 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
     row and column slices, the discriminants and the int8 class indices
     (0/1/2 = O/B/M).  A block is whole grid rows, or part of one row when a
     row is wider.  Each block is classified at unit size; one whose D
-    overflows once scaled back raises ValidationError.
-
-    Each call allocates block-sized workspaces once and evaluates every
-    block's intermediates in them; the D and index arrays it yields are
-    fresh, so a caller may keep them.
+    overflows once scaled back raises ValidationError.  The D and index
+    arrays it yields are fresh, so a caller may keep them.
     """
     if template.n != 3:
         raise BadShape(f"expected N=3 template, got N={template.n}")
@@ -209,17 +163,20 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
         (lo1, hi1), (lo2, hi2) = ranges
     except (TypeError, ValueError):
         raise BadAxis(f"ranges must be a pair of (lo, hi) pairs, got {ranges!r}") from None
-    if isinstance(resolution, int):
-        steps1 = steps2 = resolution
-    else:
+    try:
         steps1, steps2 = resolution
+    except TypeError:  # one count for both axes
+        steps1 = steps2 = resolution
+    except ValueError:
+        raise BadAxis(f"resolution must be a count or a pair of counts, "
+                      f"got {resolution!r}") from None
     for axis, lo, hi, steps in ((axis1, lo1, hi1, steps1), (axis2, lo2, hi2, steps2)):
         if not 0.0 <= lo <= hi < math.inf:
             raise BadAxis(f"axis {axis!r} needs finite bounds 0 <= lo <= hi, "
                           f"got lo={lo!r}, hi={hi!r}")
+        check_count(steps, f"axis {axis!r} steps (--vary)", BadAxis)
         if steps < 1:
             raise BadAxis(f"axis {axis!r} needs steps >= 1, got {steps}")
-        check_count(steps, f"axis {axis!r} steps (--vary)", BadAxis)
 
     grid1 = uniform_grid(lo1, hi1, steps1)
     grid2 = uniform_grid(lo2, hi2, steps2)
@@ -227,27 +184,19 @@ def _sweep_blocks(template: RateMatrix, axis1: str, axis2: str, ranges, resoluti
     # the formula's intermediates, at unit size, take the block's shape.
     values = {**dict(zip(COEFF_NAMES, template.coeffs)), axis1: hi1, axis2: hi2}
     scaled, e = unit_scaled([values[name] for name in COEFF_NAMES])
-    values = {**dict(zip(COEFF_NAMES, scaled)), "4": 4.0}
+    values = dict(zip(COEFF_NAMES, scaled))
     scaled1, scaled2 = np.ldexp(grid1, -e)[:, None], np.ldexp(grid2, -e)[None, :]
     height = max(1, _BLOCK_CELLS // grid2.size)
     width = min(grid2.size, _BLOCK_CELLS)
-    plan = _discriminant_plan(axis1, axis2)
 
     def blocks():
-        floats = np.empty((3, min(height, grid1.size) * width))
         for row in range(0, grid1.size, height):
             rows = slice(row, row + height)
             for col in range(0, grid2.size, width):
                 cols = slice(col, col + width)
-                x1, x2 = scaled1[rows], scaled2[:, cols]
-                shape = (x1.shape[0], x2.shape[1])
-                work = floats[:, :shape[0] * shape[1]].reshape((3,) + shape)
-                v = {**values, axis1: x1, axis2: x2}
-                for result, ufunc, left, right, k in plan:
-                    v[result] = ufunc(v[left], v[right], out=None if k is None else work[k])
-                disc = v["xi2"] - v["q"]
-                band = np.multiply(TOL_B, v["xi2"], out=v["xi2"])
-                index = _class_index(disc, band)
+                v = {**values, axis1: scaled1[rows], axis2: scaled2[:, cols]}
+                disc, xi, _ = discriminant_values(*(v[name] for name in COEFF_NAMES))
+                index = _class_index(disc, xi)
                 yield rows, cols, _unscaled(disc, 2 * e, out=disc), index
 
     return grid1, grid2, blocks

@@ -156,9 +156,9 @@ def _curve_blocks(params: YDParams, k_min: float, k_max: float, steps: int):
     """
     if not (0.0 <= k_min < k_max < np.inf):
         raise ValidationError(f"need finite 0 <= k_min < k_max, got ({k_min}, {k_max})")
+    check_count(steps, "steps (--steps)")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
-    check_count(steps, "steps (--steps)")
 
     def blocks():
         for start in range(0, steps, _BLOCK_POINTS):

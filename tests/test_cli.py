@@ -454,6 +454,25 @@ def test_sweep_prints_an_axis_value_of_full_width_after_shorter_ones():
     assert np.array_equal(a, np.repeat(np.linspace(0, 1, 3), 10000))
 
 
+@pytest.mark.parametrize("axes", ["ab", "ba"])
+def test_sweep_table_is_the_library_sweep_cell_by_cell(axes):
+    # 401 x 401 cells are 11 blocks of 40 rows and hold all three classes
+    w = rate_matrix_from_json(json.loads((DATA / "rates_cyclic.json").read_text()))
+    region = monotonicity.sweep(w, axes[0], axes[1], ((0.0, 2.0), (0.0, 2.0)), 401)
+    proc = run_cli("sweep", "--rates", str(DATA / "rates_cyclic.json"),
+                   "--vary", f"{axes[0]}:0:2:401", "--vary", f"{axes[1]}:0:2:401")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{axes[0]},{axes[1]},class,D"
+    classes, disc = zip(*(line.split(",")[2:] for line in lines[1:]))
+    classes = np.array(classes)
+    assert np.array_equal(classes, region.classes.ravel())
+    assert {letter: np.count_nonzero(classes == letter) for letter in "OBM"} == {
+        "O": 71096, "B": 15, "M": 89690}
+    disc = np.array([float(text) for text in disc])
+    assert np.array_equal(disc.view(np.uint64), region.discriminants.ravel().view(np.uint64))
+
+
 def test_sweep_memory_does_not_grow_with_the_grid():
     # the whole-grid evaluation peaked at 157 MiB here
     argv = ["sweep", "--rates", str(DATA / "rates_126.json"),

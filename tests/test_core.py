@@ -35,7 +35,7 @@ from qtpme.core import (
     UVWCoordinates,
     uniform_grid,
 )
-from qtpme.errors import BadShape, NegativeRate, NonzeroDiagonal, ValidationError
+from qtpme.errors import BadAxis, BadShape, NegativeRate, NonzeroDiagonal, ValidationError
 from qtpme.integrate import Method, MonitorSeries, Trajectory
 from qtpme.monotonicity import RegionMap
 from qtpme.pme import StructureReport
@@ -408,3 +408,35 @@ def test_counts_above_the_limit_are_refused_before_any_allocation(build):
         result, peak = _peak(lambda: pytest.raises(ValidationError, build, count))
         assert "at most 16777216" in str(result.value)
         assert peak < 2**20
+
+
+_COUNT_CALLERS = {
+    "integrate": (lambda count: integrate(
+        generator_from_rates(RateMatrix.from_coeffs(1, 1, 1, 1, 1, 1)),
+        ProbabilityVector(np.array([1.0, 0.0, 0.0])), 1.0, count), ValidationError),
+    "sweep": (lambda resolution: sweep(RateMatrix.from_coeffs(1, 1, 1, 1, 1, 1), "a", "b",
+                                       ((0.0, 1.0), (0.0, 1.0)), resolution), BadAxis),
+    "yd_curve": (lambda count: yd_curve(YDParams(1.0, 1.0, 1.0, 1.0), 0.0, 1.0, count),
+                 ValidationError),
+}
+
+
+@pytest.mark.parametrize("caller, count", [
+    ("sweep", (3.5, 2)),
+    ("sweep", 2.5),
+    ("sweep", (2, "3")),
+    ("sweep", True),
+    ("sweep", (2, np.True_)),
+    ("integrate", 2.5),
+    ("integrate", 3.0),
+    ("integrate", True),
+    ("integrate", "3"),
+    ("yd_curve", 2.5),
+    ("yd_curve", True),
+    ("yd_curve", np.float64(3.0)),
+])
+def test_counts_that_are_not_integers_are_refused(caller, count):
+    # a float count once gave a grid of the wrong points, and a bool one of one point
+    build, error = _COUNT_CALLERS[caller]
+    with pytest.raises(error, match="must be an integer, got"):
+        build(count)

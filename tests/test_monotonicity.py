@@ -194,6 +194,13 @@ def test_sweep_rejects_bad_axes():
         sweep(template, "a", "b", ((-1, 1), (0, 1)), 5)
 
 
+@pytest.mark.parametrize("resolution", [(), (3,), (3, 4, 5)])
+def test_sweep_rejects_a_resolution_that_is_not_one_or_two_counts(resolution):
+    template = RateMatrix.from_coeffs(1, 0, 0, 1, 1, 0)
+    with pytest.raises(BadAxis, match="resolution must be a count or a pair of counts"):
+        sweep(template, "a", "b", ((0, 1), (0, 1)), resolution)
+
+
 @pytest.mark.parametrize("ranges", [
     ((0.0, np.inf), (0.0, 1.0)),
     ((np.nan, 1.0), (0.0, 1.0)),
@@ -236,8 +243,9 @@ def test_sweep_blocks_match_the_whole_grid(steps):
                          ids=lambda steps: "x".join(map(str, steps)))
 @pytest.mark.parametrize("axes", list(itertools.combinations("abcdef", 2)), ids="".join)
 def test_sweep_blocks_match_the_whole_grid_for_every_axis_pair(axes, steps):
-    # which of the formula's intermediates take a whole block depends on
-    # which two coefficients vary, and along which grid axis
+    # a block's row and column operands, and so which of the formula's
+    # terms broadcast to a whole block, change with the two coefficients
+    # that vary and with the grid axis each one takes
     template = RateMatrix.from_coeffs(0.3, 1.7, 2.9, 0.55, 1.1, 4.2)
     ranges = ((0.0, 2.0), (0.25, 5.0))
     for pair in (axes, axes[::-1]):
