@@ -9,7 +9,8 @@ state ``dest`` (rows are destinations) and the diagonal must be zero.
 Each command returns its output, a JSON document or a CSV table after its
 check pass, and ``main`` writes it through the one writer, ``_write``, so
 stdout and ``--out`` get the same bytes.  Errors are reported on stderr
-both as a human-readable line and as a one-line JSON document.
+both as a human-readable line and as a one-line JSON document; a warning,
+such as that of an all-zero rate matrix, as one ``warning: <message>`` line.
 
 Exit codes: 0 success, 1 input validation, 2 solver failure, 3 internal
 error.
@@ -347,11 +348,16 @@ def _report_error(exc: Exception, code: int) -> int:
     return code
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            warnings.showwarning = _show_warning  # restored on leaving the block
             args = parser.parse_args(argv)
             _write(args.func(args), args.out)
             return _EXIT_OK

@@ -7,19 +7,18 @@ gauge, and K is antisymmetric with vanishing row and column sums.  Along
 and S(p) = p' sigma p / 2 is nondecreasing, since the antisymmetric part
 contributes nothing to dS/dt = n * |P sigma p|^2.
 
-For N=2 and N=3 the decomposition is available in closed form.  For
-general N the matching system becomes, on the zero-sum subspace, the linear
-Lyapunov equation ``Gq Kq + Kq Gq' = n*(Gq - Gq')`` for the circulation
-``Kq`` alone, with ``Gq`` the generator restricted there.  It is solved
-in the eigenbasis of Gq in O(N^3), or, when Gq is defective or nearly so,
-by one dense O(N^6) solve; sigma then follows from one well-conditioned
-solve.  When the stationary state is unique, Gq is Hurwitz (its
-eigenvalues are the nonzero eigenvalues of G), so Kq is unique: the
-decomposition exists, is unique, and its sigma, whose restriction inverts
-the solution ``Y`` of ``Gq Y + Y Gq' = 2n*I``, is negative definite on the
-zero-sum subspace.  :func:`decompose` picks the
-method by N; every answer, closed forms included, is certified by its
-reconstruction residual.
+For N=2 and N=3 the decomposition is available in closed form.  For general N
+the matching system becomes, on the zero-sum subspace, the linear Lyapunov
+equation ``Gq Kq + Kq Gq' = n*(Gq - Gq')`` for the circulation ``Kq`` alone,
+with ``Gq`` the generator restricted there.  It is solved in O(N^3), in the
+eigenbasis of Gq or, when Gq is defective or nearly so, by the Newton
+iteration for the matrix sign function; sigma then follows from one
+well-conditioned solve.  When the stationary state is unique, Gq is Hurwitz
+(its eigenvalues are the nonzero eigenvalues of G), so Kq is unique: the
+decomposition exists, is unique, and its sigma, whose restriction inverts the
+solution ``Y`` of ``Gq Y + Y Gq' = 2n*I``, is negative definite on the
+zero-sum subspace.  :func:`decompose` picks the method by N; every answer,
+closed forms included, is certified by its reconstruction residual.
 """
 
 from __future__ import annotations
@@ -164,61 +163,65 @@ def _antisym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
-def _dense_circulation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Antisymmetric k with ``a @ k + k @ a.T = c`` by one dense solve.
+def _residual(a: np.ndarray, k: np.ndarray, c: np.ndarray):
+    """``r = c - (a k + k a')`` and whether it is at the rounding level,
+    ``|r|_F <= 4 m eps (2 |a|_F |k|_F + |c|_F)`` (never on inf or NaN)."""
+    r = c - (a @ k + k @ a.T)
+    bound = 4.0 * a.shape[0] * np.finfo(float).eps * (
+        2.0 * np.linalg.norm(a) * np.linalg.norm(k) + np.linalg.norm(c))
+    return r, bool(np.linalg.norm(r) <= bound < np.inf)  # NaN fails both
 
-    The unknowns are the strict upper triangle of k.  Row (i, j) of the
-    operator holds ``a[i, l]`` at k[l, j] and ``a[j, l]`` at k[i, l]
-    (l running over the other indices, sign flipped where the pair is
-    stored transposed), so it is scattered from ``a`` by index arithmetic;
-    the two terms meet only on the diagonal, ``a[i, i] + a[j, j]``.
-    """
-    m = a.shape[0]
-    i, j = np.triu_indices(m, 1)
-    pos = np.zeros((m, m), dtype=np.intp)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    sign = np.sign(np.arange(m) - np.arange(m)[:, None])  # k[x, y] = sign[x, y] * k[pos[x, y]]
-    # others[t] lists every index but t
-    others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
-    rows = np.arange(i.size)[:, None]
-    li, lj = others[i], others[j]
-    operator = np.zeros((i.size, i.size))
-    operator[rows, pos[lj, j[:, None]]] = a[i[:, None], lj] * sign[lj, j[:, None]]
-    operator[rows, pos[i[:, None], li]] += a[j[:, None], li] * sign[i[:, None], li]
-    k = np.zeros((m, m))
-    k[i, j] = np.linalg.solve(operator, c[i, j])
-    return k - k.T
+
+def _sign_circulation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Antisymmetric k with ``a @ k + k @ a.T = c`` for any Hurwitz ``a``,
+    defective too, in O(m^3) by the scaled Newton iteration for the matrix
+    sign function (Roberts 1980; Higham 2008, ch. 5): from ``A = a`` and
+    ``Q = -c``, ``A <- (mu A + A^-1 / mu) / 2`` tends to -I and
+    ``Q <- (mu Q + A^-1 Q A^-T / mu) / 2`` to ``2k``.  The steps depend on
+    ``a`` alone and are replayed on the residual to refine k."""
+    steps, x = [], a
+    for _ in range(100):  # about ten steps; the cap ends a NaN run
+        inv = np.linalg.inv(x)
+        mu = np.sqrt(np.linalg.norm(inv) / np.linalg.norm(x))
+        steps.append((inv, mu))
+        x, prev = 0.5 * (mu * x + inv / mu), x
+        if np.linalg.norm(x - prev) <= 1e-9 * np.sqrt(a.shape[0]):
+            break
+    steps.append((np.linalg.inv(x), 1.0))  # one unscaled step once converged
+    k = np.zeros_like(c)
+    for _ in range(4):  # the solve, then up to three refinements
+        r, small = _residual(a, k, c)
+        if small:
+            break
+        q = -r
+        for inv, mu in steps:
+            q = 0.5 * (mu * q + inv @ q @ inv.T / mu)
+        k = k + 0.5 * _antisym(q)
+    return k
 
 
 def _circulation(a: np.ndarray, n: int) -> np.ndarray:
-    """Antisymmetric k with ``a @ k + k @ a.T = n * (a - a.T)``.
+    """Antisymmetric k with ``a @ k + k @ a.T = n * (a - a.T)``, in O(m^3).
 
     With ``a = V diag(l) V^-1`` the equation splits into scalar ones,
     ``kt[i, j] = ct[i, j] / (l[i] + l[j])`` for ``ct = V^-1 c V^-T``, and
-    ``k = V kt V'``, in O(m^3).  That answer is kept only if its backward
-    error ``|a k + k a' - c|_F`` is at most ``4 m eps (2 |a|_F |k|_F +
-    |c|_F)``; a defective or nearly defective ``a``, whose eigenvectors are
-    ill conditioned, fails that test (or the eigen step raises), and then
-    the O(m^6) dense solve of :func:`_dense_circulation` answers instead.
-    An overflow or a NaN anywhere on the way fails the test too.
+    ``k = V kt V'``, kept if at the rounding level (:func:`_residual`).  A
+    defective or nearly defective ``a`` (ill-conditioned V) fails that test
+    or makes the eigen step raise; :func:`_sign_circulation` answers then.
     """
     c = n * (a - a.T)
-    m = a.shape[0]
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             lam, v = np.linalg.eig(a)
             ct = np.linalg.solve(v, np.linalg.solve(v, c).T).T
             kt = ct / (lam[:, None] + lam[None, :])
             np.fill_diagonal(kt, 0.0)  # ct is antisymmetric
             k = _antisym((v @ kt @ v.T).real)
-            backward = np.linalg.norm(a @ k + k @ a.T - c)
-            bound = 4.0 * m * np.finfo(float).eps * (
-                2.0 * np.linalg.norm(a) * np.linalg.norm(k) + np.linalg.norm(c))
-        if backward <= bound < np.inf:  # NaN fails both comparisons
-            return k
-    except np.linalg.LinAlgError:
-        pass
-    return _dense_circulation(a, c)
+            if _residual(a, k, c)[1]:
+                return k
+        except np.linalg.LinAlgError:
+            pass
+        return _sign_circulation(a, c)
 
 
 def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
@@ -234,16 +237,13 @@ def decompose_nstate(w: RateMatrix, tol: float = 1e-8) -> QTDecomposition:
     the nonzero eigenvalues of G, all in the open left half-plane, so Kq is
     unique, and a pair sum stays clear of zero even when one eigenvalue
     nearly vanishes, as on a nearly reducible chain.  :func:`_circulation`
-    solves it in the eigenbasis of Gq and keeps that answer when its
-    backward error is at the rounding level; otherwise (Gq defective or
-    nearly so, as on a one-way path) it solves once densely with the
-    strict upper triangle of Kq, (n-1)(n-2)/2 numbers, as the unknowns.
+    solves it in O(n^3): in the eigenbasis of Gq, or by the matrix sign
+    function when Gq is defective or nearly so, as on a one-way path.
     ``n*I + Kq`` is normal with eigenvalues of modulus at least n, so the
-    solve for Xq is well conditioned and needs no refining.
-    ``Y = Xq^-1`` solves ``Gq Y + Y Gq' = 2n*I``, so with
-    Gq Hurwitz, Xq, and with it sigma on the zero-sum subspace, is negative
-    definite.  The all-ones part of sigma follows from
-    ``(n*I + Kq)^-1 Q' G 1`` and the canonical gauge
+    solve for Xq is well conditioned and needs no refining.  ``Y = Xq^-1``
+    solves ``Gq Y + Y Gq' = 2n*I``, so with Gq Hurwitz, Xq, and with it
+    sigma on the zero-sum subspace, is negative definite.  The all-ones part
+    of sigma follows from ``(n*I + Kq)^-1 Q' G 1``, and the canonical gauge
     ``sigma[n-2, n-1] = 0`` fixes the free shift.
 
     A reducible chain has zero-sum stationary directions, the kernel of Gq.

@@ -304,6 +304,20 @@ def test_decompose_reducible_chain_succeeds(tmp_path, rates):
     assert json.loads(proc.stdout)["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose"],
+    ["simulate", "--p0", "1,0,0", "--t-end", "1", "--steps", "2", "--monitor"],
+])
+def test_library_warning_is_one_warning_line(tmp_path, command):
+    # the closed form warns on an all-zero matrix; stderr gets the message alone
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rates": np.zeros((3, 3)).tolist()}), encoding="utf-8")
+    proc = run_cli(command[0], "--rates", str(path), *command[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: all transition rates are zero; "
+                           "returning the trivial decomposition\n")
+
+
 def test_spectrum_json_fields():
     doc = json.loads(run_cli("spectrum", "--rates", str(DATA / "rates_cyclic.json")).stdout)
     assert set(doc) == {"eigenvalues", "zero_index", "gap", "null_dim"}
