@@ -23,9 +23,9 @@ from qtpme.core import K3_PATTERN, null_count, unit_scaled
 from qtpme.errors import DegenerateRatesWarning, NoConvergence, ValidationError
 from qtpme.qt import (
     _certified,
+    _circulation,
     _ones_complement_basis,
     _residual,
-    _sign_circulation,
     free_parameter_count,
 )
 
@@ -583,21 +583,39 @@ def test_decompose_nstate_hard_families_certify_tightly(chain, unit):
     assert qt.residual <= 1e-13 * g_norm
 
 
-def test_decompose_nstate_takes_the_sign_solve_only_for_defective_generators(monkeypatch):
-    # of these chains only the one-way paths, whose Gq is defective or
-    # nearly so, fail the eigenbasis solve's backward-error test
-    reached = []
+def test_decompose_nstate_refines_within_the_cap(monkeypatch):
+    # solves measured per chain: five on the chains of two or three classes
+    # joined at 1e-12, at most three on the others; the cap is eight
+    checks = []
 
-    def spy(a, c):
-        reached.append(a.shape[0])
-        return _sign_circulation(a, c)
+    def spy(a, k, c):
+        r, small = _residual(a, k, c)
+        checks.append(small)
+        return r, small
 
-    monkeypatch.setattr("qtpme.qt._sign_circulation", spy)
+    monkeypatch.setattr("qtpme.qt._residual", spy)
     benchmark_like = log_uniform_rates(np.random.default_rng(30), 30, 0.1, 10.0).w
-    for chain, rates in [*sorted(HARD_CHAINS.items()), ("benchmark-like-n30", benchmark_like)]:
-        reached.clear()
+    cases = [(f"{chain}-unit-{unit:g}", unit * rates)
+             for chain, rates in sorted(HARD_CHAINS.items()) for unit in (1.0, 1e-250, 1e250)]
+    for name, rates in [*cases, ("benchmark-like-n30", benchmark_like)]:
+        checks.clear()
         decompose_nstate(RateMatrix(rates))
-        assert len(reached) == chain.startswith("path-"), chain
+        joined_at_1e12 = name.startswith("reducible") and "-1e-12-" in name
+        assert checks[-1], name
+        assert len(checks) - 1 <= (5 if joined_at_1e12 else 3), name
+
+
+def test_decompose_nstate_calls_no_eigensolver(monkeypatch):
+    # one solver for every N >= 4: no eigenbasis attempt, which would load
+    # LAPACK's nonsymmetric eigensolver and complex solves into every run
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    mild = [log_uniform_rates(np.random.default_rng(seed), n, 0.1, 10.0)
+            for n in (4, 5, 10) for seed in (1, 2)]
+    for w in [*mild, *map(RateMatrix, HARD_CHAINS.values())]:
+        decompose_nstate(w)
 
 
 @pytest.mark.parametrize("rates", [
@@ -645,17 +663,14 @@ def mixed_rates(rng):
 
 
 def test_sign_circulation_is_at_the_rounding_level():
-    # the eigenbasis test rejects a few well-conditioned draws too; the sign
-    # solve must then meet the same backward-error bound, which one of these
-    # draws misses without the refinement passes
+    # every N >= 4 chain takes the sign solve, which must meet the
+    # backward-error bound; one of these draws misses it without the
+    # refinement passes
     rng = np.random.default_rng(6)
     draws = [(f"mixed-{i}", mixed_rates(rng)) for i in range(30)]
-    paths = [(chain, rates) for chain, rates in sorted(HARD_CHAINS.items())
-             if chain.startswith("path-")]
-    for name, rates in draws + paths:
+    for name, rates in draws + sorted(HARD_CHAINS.items()):
         a, n = zero_sum_block(rates)
         c = n * (a - a.T)
-        with np.errstate(all="ignore"):
-            k = _sign_circulation(a, c)
+        k = _circulation(a, n)
         assert np.array_equal(k, -k.T), name
         assert _residual(a, k, c)[1], name
